@@ -31,11 +31,14 @@ from __future__ import annotations
 import argparse
 import sys
 from types import ModuleType
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence
 
 from repro.constants import AMBIENT_TEMPERATURE_C, THERMAL_ENVELOPE_C
 from repro.errors import ReproError
 from repro.reporting import format_table
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.simulation.resilience import SweepKind
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -116,18 +119,17 @@ def _cmd_transient(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_roadmap(args: argparse.Namespace) -> int:
-    from repro.scaling import PAPER_TRENDS, cooling_budget_ambient_c, thermal_roadmap
+def _roadmap_table(points: Sequence[Any]) -> str:
+    """The Figure 2 table: per year, the 40% IDR growth target and, per
+    platter size, the best in-envelope IDR (``*`` = meets the target)
+    and its capacity."""
+    # scaling pulls in the thermal network (and numpy); only the roadmap
+    # commands need it, and the workload sweep must stay importable on
+    # numpy-less hosts (exact engine).
+    from repro.scaling import PAPER_TRENDS
 
-    ambient = (
-        cooling_budget_ambient_c(args.platters) - args.cooling
-        if args.cooling
-        else None
-    )
-    points = thermal_roadmap(platter_count=args.platters, ambient_c=ambient)
-    years = sorted({p.year for p in points})
     rows = []
-    for year in years:
+    for year in sorted({p.year for p in points}):
         row: List = [year, f"{PAPER_TRENDS.target_idr_mb_s(year):.0f}"]
         for diameter in (2.6, 2.1, 1.6):
             point = next(
@@ -137,11 +139,21 @@ def _cmd_roadmap(args: argparse.Namespace) -> int:
             row.append(f"{point.max_idr_mb_s:.0f}{marker}")
             row.append(f"{point.capacity_gb:.1f}")
         rows.append(row)
-    print(
-        format_table(
-            ["year", "target", '2.6"', "cap", '2.1"', "cap", '1.6"', "cap"], rows
-        )
+    return format_table(
+        ["year", "target", '2.6"', "cap", '2.1"', "cap", '1.6"', "cap"], rows
     )
+
+
+def _cmd_roadmap(args: argparse.Namespace) -> int:
+    from repro.scaling import cooling_budget_ambient_c, thermal_roadmap
+
+    ambient = (
+        cooling_budget_ambient_c(args.platters) - args.cooling
+        if args.cooling
+        else None
+    )
+    points = thermal_roadmap(platter_count=args.platters, ambient_c=ambient)
+    print(_roadmap_table(points))
     print("(* = meets the 40% IDR growth target)")
     return 0
 
@@ -303,25 +315,6 @@ def _backend_from(args: argparse.Namespace) -> Optional[str]:
     return resolve_backend_name(explicit)
 
 
-def _store_from(args: argparse.Namespace, backend: Optional[str] = None):
-    """Build the ResultStore the flags ask for (None when caching is off).
-
-    The ``shared-store`` backend implies ``--store``: it coordinates
-    through the store directory, so its accounting must be visible.
-    """
-    use_store = bool(
-        getattr(args, "store", False)
-        or getattr(args, "store_dir", None)
-        or getattr(args, "resume", None)
-        or backend == "shared-store"
-    )
-    if not use_store:
-        return None
-    from repro.store import ResultStore
-
-    return ResultStore(root=args.store_dir)
-
-
 def _check_resume_manifest(path: str, task_keys: List[str]) -> None:
     """Validate a ``--resume`` manifest against this sweep's task keys.
 
@@ -357,51 +350,102 @@ def _check_resume_manifest(path: str, task_keys: List[str]) -> None:
     )
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.simulation.sweep import sweep_roadmap, sweep_workloads
+def _run_kind_from_args(
+    args: argparse.Namespace,
+    kind: "SweepKind",
+    tasks: Sequence[Any],
+    units: str,
+    default_manifest: str,
+    results_what: str,
+    announce_backend: bool = True,
+) -> List[Any]:
+    """Run one sweep family's tasks the way the run flags ask.
+
+    Shared by ``repro sweep workload`` and ``repro fleet``: the
+    ``--resume`` check, strict vs ``--partial-results``, the manifest,
+    the backend/store lines and ``--results-out``.  ``units`` names the
+    tasks in the manifest line, ``results_what`` the results line.
+    Returns the per-task results, with None holes for failed tasks.
+    """
+    from repro.simulation.resilience import run_kind
 
     backend = _backend_from(args)
+    store = None
+    # Resuming goes through the store, and the shared-store backend
+    # coordinates through it, so both imply --store.
+    if args.store or args.store_dir or args.resume or backend == "shared-store":
+        from repro.store import ResultStore
+
+        store = ResultStore(root=args.store_dir)
+    partial = bool(args.partial_results or args.resume)
+    if args.resume:
+        _check_resume_manifest(args.resume, [kind.key(t) for t in tasks])
+    report = run_kind(
+        kind,
+        tasks,
+        store=store,
+        workers=args.workers,
+        retries=args.retries,
+        timeout_s=args.task_timeout,
+        backend=backend,
+    )
+    if not partial:
+        report.raise_on_failure()
+    if partial and (report.failed or args.manifest_out or store is not None):
+        import json
+
+        manifest = report.manifest(task_labels=[t.label() for t in tasks])
+        out = args.manifest_out or default_manifest
+        with open(out, "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle, indent=2, sort_keys=True, allow_nan=False)
+            handle.write("\n")
+        print(
+            f"{report.ok_count}/{len(report.envelopes)} {units} completed; "
+            f"manifest written to {out}"
+        )
+    if report.backend and (announce_backend or partial or store is not None):
+        print(f"backend: {report.backend}")
+    if store is not None:
+        print(
+            f"store: {report.store_hits} hit(s), "
+            f"{report.store_misses} miss(es), "
+            f"{store.corrupt} corrupt — {store.root}"
+        )
+    results = report.results()
+    if args.results_out:
+        from repro.store import stable_json
+
+        with open(args.results_out, "wb") as binary:
+            binary.write((stable_json(kind.document(results)) + "\n").encode("utf-8"))
+        print(
+            f"wrote canonical {results_what.format(report.ok_count)} "
+            f"to {args.results_out}"
+        )
+    return results
+
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.axis == "roadmap":
-        # scaling pulls in the thermal network (and numpy); only the
-        # roadmap axis needs it, and the workload axis must stay
-        # importable on numpy-less hosts (exact engine).
-        from repro.scaling import PAPER_TRENDS
+        from repro.simulation.sweep import sweep_roadmap
 
         by_count = sweep_roadmap(
-            platter_counts=args.platters, workers=args.workers, backend=backend
+            platter_counts=args.platters,
+            workers=args.workers,
+            backend=_backend_from(args),
         )
         for count, points in by_count.items():
-            years = sorted({p.year for p in points})
-            rows = []
-            for year in years:
-                row: List = [year, f"{PAPER_TRENDS.target_idr_mb_s(year):.0f}"]
-                for diameter in (2.6, 2.1, 1.6):
-                    point = next(
-                        p
-                        for p in points
-                        if p.year == year and p.diameter_in == diameter
-                    )
-                    marker = "*" if point.meets_target else " "
-                    row.append(f"{point.max_idr_mb_s:.0f}{marker}")
-                    row.append(f"{point.capacity_gb:.1f}")
-                rows.append(row)
             print(f"{count}-platter roadmap:")
-            print(
-                format_table(
-                    ["year", "target", '2.6"', "cap", '2.1"', "cap", '1.6"', "cap"],
-                    rows,
-                )
-            )
+            print(_roadmap_table(points))
             print()
         print("(* = meets the 40% IDR growth target)")
         return 0
 
+    from repro.simulation.sweep import build_workload_tasks, workload_sweep_kind
+
     telemetry = bool(args.telemetry or args.telemetry_out)
     fault_config = _fault_config_from(args)
-    store = _store_from(args, backend)
-    partial = bool(args.partial_results or args.resume)
-    task_kwargs = dict(
-        names=args.names,
+    tasks = build_workload_tasks(
+        args.names,
         rpm_steps=args.steps,
         requests=args.requests,
         seed=args.seed,
@@ -410,68 +454,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         fault_config=fault_config,
         engine=args.engine,
     )
-    with_holes = None
-    if partial or store is not None:
-        from repro.simulation.sweep import (
-            build_workload_tasks,
-            sweep_workloads_resilient,
-            workload_task_key,
+    results = [
+        r
+        for r in _run_kind_from_args(
+            args,
+            workload_sweep_kind(),
+            tasks,
+            units="sweep points",
+            default_manifest="sweep_manifest.json",
+            results_what="results for {} points",
+            announce_backend=False,
         )
-
-        tasks = build_workload_tasks(**task_kwargs)
-        if args.resume:
-            _check_resume_manifest(
-                args.resume, [workload_task_key(t) for t in tasks]
-            )
-        with_holes, run_report = sweep_workloads_resilient(
-            workers=args.workers,
-            retries=args.retries,
-            timeout_s=args.task_timeout,
-            store=store,
-            backend=backend,
-            **task_kwargs,
-        )
-        if not partial:
-            run_report.raise_on_failure()
-        results = [r for r in with_holes if r is not None]
-        write_manifest = partial and (
-            run_report.failed or args.manifest_out or store is not None
-        )
-        if write_manifest:
-            import json
-
-            manifest = run_report.manifest(
-                task_labels=[t.label() for t in tasks]
-            )
-            out = args.manifest_out or "sweep_manifest.json"
-            with open(out, "w", encoding="utf-8") as handle:
-                json.dump(
-                    manifest, handle, indent=2, sort_keys=True, allow_nan=False
-                )
-                handle.write("\n")
-            print(
-                f"{run_report.ok_count}/{len(run_report.envelopes)} sweep "
-                f"points completed; manifest written to {out}"
-            )
-        if run_report.backend:
-            print(f"backend: {run_report.backend}")
-        if store is not None:
-            print(
-                f"store: {run_report.store_hits} hit(s), "
-                f"{run_report.store_misses} miss(es), "
-                f"{store.corrupt} corrupt — {store.root}"
-            )
-    else:
-        results = sweep_workloads(
-            workers=args.workers, backend=backend, **task_kwargs
-        )
-    if args.results_out:
-        from repro.simulation.sweep import results_json_bytes
-
-        payload_results = with_holes if with_holes is not None else results
-        with open(args.results_out, "wb") as binary:
-            binary.write(results_json_bytes(payload_results))
-        print(f"wrote canonical results for {len(results)} points to {args.results_out}")
+        if r is not None
+    ]
     if telemetry:
         import json
 
@@ -534,17 +529,11 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         ReliabilityParams,
         TieringPolicy,
         build_rack_tasks,
-        fleet_results_json_bytes,
         fleet_summary,
-        fleet_task_key,
-        run_fleet_sweep,
         uniform_fleet,
     )
+    from repro.fleet.sweep import fleet_sweep_kind
 
-    backend = _backend_from(args)
-    fault_config = _fault_config_from(args)
-    store = _store_from(args, backend)
-    partial = bool(args.partial_results or args.resume)
     fleet = uniform_fleet(
         racks=args.racks,
         enclosures_per_rack=args.enclosures,
@@ -573,52 +562,17 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             seed=args.tiering_seed,
             target_utilization=args.tiering_utilization,
         ),
-        fault_config=fault_config,
+        fault_config=_fault_config_from(args),
         accesses_per_drive=args.accesses,
     )
-    if args.resume:
-        _check_resume_manifest(args.resume, [fleet_task_key(t) for t in tasks])
-    results, report = run_fleet_sweep(
+    results = _run_kind_from_args(
+        args,
+        fleet_sweep_kind(),
         tasks,
-        workers=args.workers,
-        retries=args.retries,
-        timeout_s=args.task_timeout,
-        store=store,
-        backend=backend,
+        units="rack(s)",
+        default_manifest="fleet_manifest.json",
+        results_what="fleet results for {} rack(s)",
     )
-    if not partial:
-        report.raise_on_failure()
-    write_manifest = partial and (
-        report.failed or args.manifest_out or store is not None
-    )
-    if write_manifest:
-        import json
-
-        manifest = report.manifest(task_labels=[t.label() for t in tasks])
-        out = args.manifest_out or "fleet_manifest.json"
-        with open(out, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=2, sort_keys=True, allow_nan=False)
-            handle.write("\n")
-        print(
-            f"{report.ok_count}/{len(report.envelopes)} rack(s) completed; "
-            f"manifest written to {out}"
-        )
-    if report.backend:
-        print(f"backend: {report.backend}")
-    if store is not None:
-        print(
-            f"store: {report.store_hits} hit(s), "
-            f"{report.store_misses} miss(es), "
-            f"{store.corrupt} corrupt — {store.root}"
-        )
-    if args.results_out:
-        with open(args.results_out, "wb") as binary:
-            binary.write(fleet_results_json_bytes(results))
-        healthy_count = sum(1 for r in results if r is not None)
-        print(
-            f"wrote canonical fleet results for {healthy_count} rack(s) "
-            f"to {args.results_out}"
-        )
     headers = [
         "rack", "drives", "conv", "rounds", "steps", "cap",
         "heat W", "max C", "EAF", "avail",
@@ -876,6 +830,99 @@ def _name_list(text: str) -> List[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
+def _add_run_flags(
+    p: argparse.ArgumentParser,
+    units: str,
+    default_manifest: str,
+    results_schema: str,
+) -> None:
+    """The run flags ``repro sweep workload`` and ``repro fleet`` share:
+    workers and backend, fault injection, retries and deadlines, partial
+    results and manifests, the result store, resume and results output.
+    ``units`` names what one task computes (``points``, ``racks``)."""
+    p.add_argument("-w", "--workers", type=int, default=None, help="process count")
+    p.add_argument(
+        "--backend",
+        choices=("serial", "process", "shared-store"),
+        default=None,
+        help="execution backend (default $REPRO_SWEEP_BACKEND or process); "
+        "shared-store coordinates with peer processes through the result "
+        "store and implies --store",
+    )
+    p.add_argument(
+        "--inject-faults",
+        action="store_true",
+        help="inject deterministic per-drive media/servo faults",
+    )
+    p.add_argument(
+        "--media-rate",
+        type=float,
+        default=0.01,
+        help="per-media-access media-error probability (with --inject-faults)",
+    )
+    p.add_argument(
+        "--servo-rate",
+        type=float,
+        default=0.0,
+        help="per-media-access servo-fault probability (with --inject-faults)",
+    )
+    p.add_argument(
+        "--fault-seed", type=int, default=0, help="fault-injection seed"
+    )
+    p.add_argument(
+        "--retries",
+        type=int,
+        default=2,
+        help="extra attempts per failed task",
+    )
+    p.add_argument(
+        "--task-timeout",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="per-task wall-clock deadline",
+    )
+    p.add_argument(
+        "--partial-results",
+        action="store_true",
+        help=f"survive failing {units}: keep healthy results and write a "
+        "failure manifest instead of aborting",
+    )
+    p.add_argument(
+        "--manifest-out",
+        default=None,
+        metavar="PATH",
+        help="failure-manifest JSON path (with --partial-results; "
+        f"default {default_manifest}, written only on failures unless set)",
+    )
+    p.add_argument(
+        "--store",
+        action="store_true",
+        help=f"serve completed {units} from the content-addressed result "
+        "store and persist new ones (see `repro store`)",
+    )
+    p.add_argument(
+        "--store-dir",
+        default=None,
+        metavar="PATH",
+        help="result-store directory (implies --store; default "
+        "$REPRO_STORE_DIR or ~/.cache/repro)",
+    )
+    p.add_argument(
+        "--resume",
+        default=None,
+        metavar="MANIFEST",
+        help="resume a previous --store run from its manifest (implies "
+        f"--store and --partial-results; completed {units} become hits)",
+    )
+    p.add_argument(
+        "--results-out",
+        default=None,
+        metavar="PATH",
+        help=f"write canonical results JSON ({results_schema}) here",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -998,15 +1045,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("-n", "--requests", type=int, default=4000)
     ps.add_argument("--seed", type=int, default=1)
     ps.add_argument("--steps", type=int, default=4, help="RPM ladder length")
-    ps.add_argument("-w", "--workers", type=int, default=None, help="process count")
-    ps.add_argument(
-        "--backend",
-        choices=("serial", "process", "shared-store"),
-        default=None,
-        help="execution backend (default $REPRO_SWEEP_BACKEND or process); "
-        "shared-store coordinates with peer processes through the result "
-        "store and implies --store",
-    )
     ps.add_argument(
         "--engine",
         choices=("exact", "vectorized", "analytic", "auto"),
@@ -1034,77 +1072,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=100.0,
         help="time-series sampling interval in simulated ms",
     )
-    ps.add_argument(
-        "--inject-faults",
-        action="store_true",
-        help="inject deterministic drive faults into every replay",
-    )
-    ps.add_argument(
-        "--media-rate",
-        type=float,
-        default=0.01,
-        help="per-media-access media-error probability (with --inject-faults)",
-    )
-    ps.add_argument(
-        "--servo-rate",
-        type=float,
-        default=0.0,
-        help="per-media-access servo-fault probability (with --inject-faults)",
-    )
-    ps.add_argument(
-        "--fault-seed", type=int, default=0, help="fault-injection seed"
-    )
-    ps.add_argument(
-        "--partial-results",
-        action="store_true",
-        help="survive failing sweep points: keep healthy results and write "
-        "a failure manifest instead of aborting",
-    )
-    ps.add_argument(
-        "--manifest-out",
-        default=None,
-        metavar="PATH",
-        help="failure-manifest JSON path (with --partial-results; "
-        "default sweep_manifest.json, written only on failures unless set)",
-    )
-    ps.add_argument(
-        "--retries",
-        type=int,
-        default=2,
-        help="extra attempts per failed sweep task (with --partial-results)",
-    )
-    ps.add_argument(
-        "--task-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-task wall-clock deadline (with --partial-results)",
-    )
-    ps.add_argument(
-        "--store",
-        action="store_true",
-        help="serve completed points from the content-addressed result "
-        "store and persist new ones (see `repro store`)",
-    )
-    ps.add_argument(
-        "--store-dir",
-        default=None,
-        metavar="PATH",
-        help="result-store directory (implies --store; default "
-        "$REPRO_STORE_DIR or ~/.cache/repro)",
-    )
-    ps.add_argument(
-        "--resume",
-        default=None,
-        metavar="MANIFEST",
-        help="resume a previous --store run from its manifest (implies "
-        "--store and --partial-results; completed tasks become hits)",
-    )
-    ps.add_argument(
-        "--results-out",
-        default=None,
-        metavar="PATH",
-        help="write canonical result JSON (repro.sweep_results/2) here",
+    _add_run_flags(
+        ps,
+        units="points",
+        default_manifest="sweep_manifest.json",
+        results_schema="repro.sweep_results/2",
     )
 
     p = sub.add_parser(
@@ -1193,91 +1165,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="balanced-layout utilization target in (0, 1]",
     )
     p.add_argument(
-        "--inject-faults",
-        action="store_true",
-        help="replay deterministic per-drive media/servo faults",
-    )
-    p.add_argument(
-        "--media-rate",
-        type=float,
-        default=0.01,
-        help="per-media-access media-error probability (with --inject-faults)",
-    )
-    p.add_argument(
-        "--servo-rate",
-        type=float,
-        default=0.0,
-        help="per-media-access servo-fault probability (with --inject-faults)",
-    )
-    p.add_argument(
-        "--fault-seed", type=int, default=0, help="fault-injection seed"
-    )
-    p.add_argument(
         "--accesses",
         type=int,
         default=256,
         help="fault-replayed media accesses per drive (with --inject-faults)",
     )
-    p.add_argument("-w", "--workers", type=int, default=None, help="process count")
-    p.add_argument(
-        "--backend",
-        choices=("serial", "process", "shared-store"),
-        default=None,
-        help="execution backend (default $REPRO_SWEEP_BACKEND or process); "
-        "shared-store coordinates with peer processes through the result "
-        "store and implies --store",
-    )
-    p.add_argument(
-        "--retries",
-        type=int,
-        default=2,
-        help="extra attempts per failed rack task",
-    )
-    p.add_argument(
-        "--task-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-rack wall-clock deadline",
-    )
-    p.add_argument(
-        "--partial-results",
-        action="store_true",
-        help="survive failing racks: keep healthy results and write a "
-        "failure manifest instead of aborting",
-    )
-    p.add_argument(
-        "--manifest-out",
-        default=None,
-        metavar="PATH",
-        help="failure-manifest JSON path (with --partial-results; "
-        "default fleet_manifest.json, written only on failures unless set)",
-    )
-    p.add_argument(
-        "--store",
-        action="store_true",
-        help="serve completed racks from the content-addressed result "
-        "store and persist new ones (see `repro store`)",
-    )
-    p.add_argument(
-        "--store-dir",
-        default=None,
-        metavar="PATH",
-        help="result-store directory (implies --store; default "
-        "$REPRO_STORE_DIR or ~/.cache/repro)",
-    )
-    p.add_argument(
-        "--resume",
-        default=None,
-        metavar="MANIFEST",
-        help="resume a previous --store run from its manifest (implies "
-        "--store and --partial-results; completed racks become hits)",
-    )
-    p.add_argument(
-        "--results-out",
-        default=None,
-        metavar="PATH",
-        help="write canonical fleet results JSON (repro.fleet_results/1) here",
+    _add_run_flags(
+        p,
+        units="racks",
+        default_manifest="fleet_manifest.json",
+        results_schema="repro.fleet_results/1",
     )
 
     p = sub.add_parser(

@@ -44,7 +44,7 @@ from repro.fleet.topology import FleetSpec, RackSpec, rack_config
 from repro.units import rotation_time_ms
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from repro.simulation.resilience import SweepRunReport
+    from repro.simulation.resilience import SweepKind, SweepRunReport
     from repro.simulation.sweep import BackendSpec
     from repro.store import ResultStore
 
@@ -61,6 +61,7 @@ __all__ = [
     "fleet_summary",
     "fleet_results_document",
     "fleet_results_json_bytes",
+    "fleet_sweep_kind",
     "run_fleet_sweep",
 ]
 
@@ -500,6 +501,25 @@ def build_rack_tasks(
     ]
 
 
+def fleet_sweep_kind() -> "SweepKind":
+    """The fleet family's :class:`SweepKind`.
+
+    Built per run, from this module's attributes at call time, so a
+    rebound worker or codec (tracing, tests) is what the run uses.  Rack
+    tasks always simulate, so there is no worker plan.
+    """
+    from repro.simulation.resilience import SweepKind
+
+    return SweepKind(
+        name=FLEET_TASK_KIND,
+        worker=_run_rack_task,
+        key=fleet_task_key,
+        encode=rack_result_to_payload,
+        decode=rack_result_from_payload,
+        document=fleet_results_document,
+    )
+
+
 def run_fleet_sweep(
     tasks: Sequence[RackTask],
     workers: Optional[int] = None,
@@ -520,35 +540,17 @@ def run_fleet_sweep(
     Returns:
         (results with None holes for failed racks, the run report).
     """
-    from repro.simulation.resilience import run_sweep_cached, run_sweep_resilient
-    from repro.simulation.sweep import effective_store
+    from repro.simulation.resilience import run_kind
 
-    store = effective_store(store, backend)
-    if store is not None:
-        report = run_sweep_cached(
-            tasks,
-            _run_rack_task,
-            store,
-            fleet_task_key,
-            rack_result_to_payload,
-            rack_result_from_payload,
-            kind=FLEET_TASK_KIND,
-            workers=workers,
-            retries=retries,
-            backoff_s=backoff_s,
-            timeout_s=timeout_s,
-            telemetry=telemetry,
-            backend=backend,
-        )
-    else:
-        report = run_sweep_resilient(
-            tasks,
-            _run_rack_task,
-            workers=workers,
-            retries=retries,
-            backoff_s=backoff_s,
-            timeout_s=timeout_s,
-            telemetry=telemetry,
-            backend=backend,
-        )
+    report = run_kind(
+        fleet_sweep_kind(),
+        tasks,
+        store=store,
+        workers=workers,
+        retries=retries,
+        backoff_s=backoff_s,
+        timeout_s=timeout_s,
+        telemetry=telemetry,
+        backend=backend,
+    )
     return report.results(), report

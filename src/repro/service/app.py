@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import asyncio
 import signal
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.service.jobs import JobManager
 from repro.service.routes import (
@@ -236,56 +236,39 @@ class ServiceApp:
             None, self.manager.drain, self.drain_timeout_s
         )
 
-    async def run(self) -> None:
-        """Serve until a stop signal, then drain.  The whole lifecycle."""
+    async def run(self, on_ready: Optional[Callable[[], None]] = None) -> None:
+        """Serve until a stop signal, then drain.  The whole lifecycle.
+
+        ``on_ready`` runs once the service is bound *and* its signal
+        handlers are installed, so a SIGTERM sent as soon as the caller
+        announces readiness drains instead of killing the process.
+        """
         await self.start()
         self.install_signal_handlers()
+        print(f"repro service listening on http://{self.host}:{self.port}")
+        if on_ready is not None:
+            on_ready()
         assert self._stop is not None
         await self._stop.wait()
+        print("drain requested; stopping intake and finishing in-flight tasks")
         await self.shutdown()
+        print("drained; completed tasks are persisted in the store")
 
 
-def run_service(
-    store: Any,
-    telemetry: Optional[Any] = None,
-    host: str = "127.0.0.1",
-    port: int = 8765,
-    port_file: Optional[str] = None,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
-    retries: int = 1,
-    task_timeout_s: Optional[float] = None,
-    drain_timeout_s: float = 30.0,
-) -> int:
+def run_service(store: Any, port_file: Optional[str] = None, **options: Any) -> int:
     """Blocking entry point behind ``repro serve``.
 
-    ``port_file`` (written after bind) lets scripts using an ephemeral
-    port (``--port 0``) discover where the service actually listens.
+    ``options`` are :class:`ServiceApp`'s (host, port, telemetry, job
+    defaults, drain timeout).  ``port_file`` (written after bind and
+    after the signal handlers are installed) lets scripts using an
+    ephemeral port (``--port 0``) discover where the service listens.
     """
-    app = ServiceApp(
-        store,
-        telemetry=telemetry,
-        host=host,
-        port=port,
-        backend=backend,
-        workers=workers,
-        retries=retries,
-        task_timeout_s=task_timeout_s,
-        drain_timeout_s=drain_timeout_s,
-    )
+    app = ServiceApp(store, **options)
 
-    async def main() -> None:
-        await app.start()
-        print(f"repro service listening on http://{app.host}:{app.port}")
+    def write_port_file() -> None:
         if port_file:
             with open(port_file, "w", encoding="utf-8") as handle:
                 handle.write(f"{app.port}\n")
-        app.install_signal_handlers()
-        assert app._stop is not None
-        await app._stop.wait()
-        print("drain requested; stopping intake and finishing in-flight tasks")
-        await app.shutdown()
-        print("drained; completed tasks are persisted in the store")
 
-    asyncio.run(main())
+    asyncio.run(app.run(on_ready=write_port_file))
     return 0

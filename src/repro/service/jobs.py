@@ -3,8 +3,9 @@
 The manager is the synchronous heart the async HTTP layer talks to.  It
 owns one worker thread per *backend name* (serial jobs queue behind
 serial jobs, process-pool jobs behind process-pool jobs), and every job
-runs through :func:`repro.simulation.resilience.run_sweep_cached` over
-the shared :class:`repro.store.ResultStore` — which is where all the
+runs its config's sweep kind through
+:func:`repro.simulation.resilience.run_kind` over the shared
+:class:`repro.store.ResultStore` — which is where all the
 multi-tenant economics come from:
 
 * **Dedup across tenants.**  A submission's identity is its canonical
@@ -41,7 +42,6 @@ from repro.errors import ServiceError
 from repro.service.schemas import (
     EVENT_SCHEMA,
     JOB_SCHEMA,
-    SweepJobConfig,
     job_config_key,
     parse_job_request,
 )
@@ -89,7 +89,7 @@ class Job:
         self,
         job_id: str,
         key: str,
-        config: SweepJobConfig,
+        config: Any,
         task_keys: List[str],
         task_labels: List[str],
         backend: str,
@@ -239,7 +239,7 @@ class JobManager:
             # fleet-topology plans.
             raise ServiceError(str(exc)) from exc
         key = job_config_key(config)
-        task_key = config.sweep_plumbing()["task_key"]
+        task_key = config.sweep_kind().key
         task_keys = [task_key(task) for task in tasks]
         task_labels = [task.label() for task in tasks]
         with self._cond:
@@ -301,9 +301,9 @@ class JobManager:
                 self._finish(job, JOB_FAILED, f"internal error: {exc!r}")
 
     def _run_job(self, job: Job) -> None:
-        from repro.simulation.resilience import run_sweep_cached
+        from repro.simulation.resilience import run_kind
 
-        plumbing = job.config.sweep_plumbing()
+        kind = job.config.sweep_kind()
         with self._cond:
             job.state = JOB_RUNNING
             job.started_s = time.time()
@@ -329,22 +329,16 @@ class JobManager:
                 raise JobDrained(job.id)
 
         tasks = job.config.build_tasks()
-        workers = plumbing["plan_workers"](
-            tasks,
-            job.config.workers
-            if job.config.workers is not None
-            else self._default_workers,
-        )
         try:
-            report = run_sweep_cached(
+            report = run_kind(
+                kind,
                 tasks,
-                plumbing["worker"],
-                self.store,
-                plumbing["task_key"],
-                plumbing["encode"],
-                plumbing["decode"],
-                kind=plumbing["task_kind"],
-                workers=workers,
+                store=self.store,
+                workers=(
+                    job.config.workers
+                    if job.config.workers is not None
+                    else self._default_workers
+                ),
                 retries=job.config.retries,
                 timeout_s=self._task_timeout_s,
                 telemetry=self.telemetry,
@@ -361,7 +355,7 @@ class JobManager:
         with self._cond:
             job.store_hits = report.store_hits
             job.store_misses = report.store_misses
-        failed = [e for e in report.envelopes if not e.ok]
+        failed = report.failed
         if failed:
             with self._cond:
                 for envelope in failed:
@@ -378,7 +372,7 @@ class JobManager:
         try:
             self.store.put(
                 job.key,
-                plumbing["document"](results),
+                kind.document(results),
                 kind=SERVICE_RESULTS_KIND,
             )
         except Exception:
@@ -483,7 +477,8 @@ class JobManager:
         parts = [self.store.get(task_key) for task_key in task_keys]
         if any(part is None for part in parts):
             return None
-        document = job.config.sweep_plumbing()["document_from_payloads"](parts)
+        kind = job.config.sweep_kind()
+        document = kind.document([kind.decode(part) for part in parts])
         try:
             self.store.put(key, document, kind=SERVICE_RESULTS_KIND)
         except Exception:

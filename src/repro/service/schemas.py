@@ -24,6 +24,9 @@ Two layers of keys:
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import typing
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -56,8 +59,59 @@ JOB_SCHEMA = "repro.service.job/1"
 EVENT_SCHEMA = "repro.service.event/1"
 
 
+#: Execution knobs: accepted on the wire, never part of a config key.
+_EXECUTION_FIELDS = ("backend", "retries", "workers")
+
+#: Knobs that shape nothing unless ``inject_faults`` is set.
+_FAULT_KNOBS = ("fault_seed", "media_rate", "servo_rate")
+
+
+class _JobConfig:
+    """What both job families share.  Each declares its own dataclass
+    fields, these four fault knobs among them (annotations on a plain
+    base class never become fields)."""
+
+    inject_faults: bool
+    fault_seed: int
+    media_rate: float
+    servo_rate: float
+
+    def immaterial_fields(self) -> Tuple[str, ...]:
+        """Fields whose feature is off in this config: they shape nothing."""
+        return () if self.inject_faults else _FAULT_KNOBS
+
+    def material_config(self) -> Dict[str, Any]:
+        """The key-entering field subset, in canonical form: every
+        non-execution field in field order, tuples as lists, immaterial
+        ones folded to None so they cannot split the dedup key."""
+        off = self.immaterial_fields()
+        material: Dict[str, Any] = {}
+        for f in dataclasses.fields(self):  # type: ignore[arg-type]
+            if f.name in _EXECUTION_FIELDS:
+                continue
+            value = getattr(self, f.name)
+            if f.name in off:
+                value = None
+            elif isinstance(value, tuple):
+                value = list(value)
+            material[f.name] = value
+        return material
+
+    def fault_config(self) -> Optional[Any]:
+        """The FaultConfig this job injects (None when injection is off)."""
+        if not self.inject_faults:
+            return None
+        from repro.faults import FaultConfig
+
+        return FaultConfig(
+            seed=self.fault_seed,
+            media_rate=self.media_rate,
+            servo_rate=self.servo_rate,
+        )
+
+
 @dataclass(frozen=True)
-class SweepJobConfig:
+class SweepJobConfig(_JobConfig):
     """One validated sweep submission.
 
     Material fields (everything except ``backend``/``retries``/
@@ -71,6 +125,8 @@ class SweepJobConfig:
     request_kind = "workload_sweep"
     #: Config-key kind tag (the dedup namespace).
     job_kind = SERVICE_JOB_KIND
+    #: Count fields a submission must set to a positive value.
+    positive_fields = ("rpm_steps", "requests")
 
     workloads: Tuple[str, ...]
     rpms: Optional[Tuple[float, ...]] = None
@@ -83,38 +139,10 @@ class SweepJobConfig:
     fault_seed: int = 0
     media_rate: float = 0.01
     servo_rate: float = 0.0
-    # Execution knobs — never part of the config key.
+    # Execution knobs (_EXECUTION_FIELDS) — never part of the config key.
     backend: Optional[str] = None
     retries: int = 1
     workers: Optional[int] = None
-
-    def material_config(self) -> Dict[str, Any]:
-        """The key-entering field subset, in canonical form."""
-        return {
-            "workloads": list(self.workloads),
-            "rpms": list(self.rpms) if self.rpms is not None else None,
-            "rpm_steps": self.rpm_steps,
-            "requests": self.requests,
-            "seed": self.seed,
-            "keep_samples": self.keep_samples,
-            "engine": self.engine,
-            "inject_faults": self.inject_faults,
-            "fault_seed": self.fault_seed if self.inject_faults else None,
-            "media_rate": self.media_rate if self.inject_faults else None,
-            "servo_rate": self.servo_rate if self.inject_faults else None,
-        }
-
-    def fault_config(self) -> Optional[Any]:
-        """The FaultConfig this job injects (None when injection is off)."""
-        if not self.inject_faults:
-            return None
-        from repro.faults import FaultConfig
-
-        return FaultConfig(
-            seed=self.fault_seed,
-            media_rate=self.media_rate,
-            servo_rate=self.servo_rate,
-        )
 
     def build_tasks(self) -> List[Any]:
         """The task grid, validated exactly like the CLI builds it."""
@@ -131,45 +159,20 @@ class SweepJobConfig:
             engine=self.engine,
         )
 
-    def sweep_plumbing(self) -> Dict[str, Any]:
-        """The task-level machinery the job manager fans this job out with.
+    def sweep_kind(self) -> Any:
+        """The :class:`repro.simulation.resilience.SweepKind` jobs run on.
 
         Same worker/key/codec the CLI uses — which is the whole
         byte-identity story: a service result under a task key is
         indistinguishable from a CLI-computed one.
-        ``document_from_payloads`` rebuilds the full results document
-        from the raw per-task store entries (the eviction-recovery
-        path).
         """
-        from repro.simulation.sweep import (
-            RESULTS_SCHEMA,
-            WORKLOAD_TASK_KIND,
-            _run_workload_task,
-            plan_sweep_workers,
-            results_document,
-            workload_result_from_payload,
-            workload_result_to_payload,
-            workload_task_key,
-        )
+        from repro.simulation.sweep import workload_sweep_kind
 
-        return {
-            "task_kind": WORKLOAD_TASK_KIND,
-            "worker": _run_workload_task,
-            "task_key": workload_task_key,
-            "encode": workload_result_to_payload,
-            "decode": workload_result_from_payload,
-            "document": results_document,
-            "document_from_payloads": lambda parts: {
-                "schema": RESULTS_SCHEMA,
-                "results": list(parts),
-            },
-            # All-analytic sweeps are forced serial (cheaper than a pool).
-            "plan_workers": plan_sweep_workers,
-        }
+        return workload_sweep_kind()
 
 
 @dataclass(frozen=True)
-class FleetJobConfig:
+class FleetJobConfig(_JobConfig):
     """One validated fleet-sweep submission (``kind: fleet_sweep``).
 
     The material fields mirror ``repro fleet``'s topology/policy flags
@@ -181,6 +184,7 @@ class FleetJobConfig:
 
     request_kind = "fleet_sweep"
     job_kind = SERVICE_FLEET_JOB_KIND
+    positive_fields = ("racks",)
 
     racks: int = 2
     enclosures_per_rack: int = 4
@@ -206,7 +210,7 @@ class FleetJobConfig:
     media_rate: float = 0.01
     servo_rate: float = 0.0
     accesses_per_drive: int = 256
-    # Execution knobs — never part of the config key.
+    # Execution knobs (_EXECUTION_FIELDS) — never part of the config key.
     backend: Optional[str] = None
     retries: int = 1
     workers: Optional[int] = None
@@ -216,51 +220,13 @@ class FleetJobConfig:
         """Fleet jobs replay no named workloads (metrics plumbing)."""
         return ()
 
-    def material_config(self) -> Dict[str, Any]:
-        """The key-entering field subset, in canonical form."""
-        tiered = self.tiering_extents > 0
-        return {
-            "racks": self.racks,
-            "enclosures_per_rack": self.enclosures_per_rack,
-            "drives_per_enclosure": self.drives_per_enclosure,
-            "airflow_m3_per_s": self.airflow_m3_per_s,
-            "cooling_budget_w": self.cooling_budget_w,
-            "diameter_in": self.diameter_in,
-            "platter_count": self.platter_count,
-            "vcm_duty": self.vcm_duty,
-            "inlet_c": self.inlet_c,
-            "recirculation": self.recirculation,
-            "envelope_c": self.envelope_c,
-            "rpm_levels": list(self.rpm_levels),
-            "max_rounds": self.max_rounds,
-            "base_afr": self.base_afr,
-            "reference_c": self.reference_c,
-            "mttr_hours": self.mttr_hours,
-            "tiering_extents": self.tiering_extents,
-            "tiering_seed": self.tiering_seed if tiered else None,
-            "tiering_target_utilization": (
-                self.tiering_target_utilization if tiered else None
-            ),
-            "inject_faults": self.inject_faults,
-            "fault_seed": self.fault_seed if self.inject_faults else None,
-            "media_rate": self.media_rate if self.inject_faults else None,
-            "servo_rate": self.servo_rate if self.inject_faults else None,
-            "accesses_per_drive": (
-                self.accesses_per_drive if self.inject_faults else None
-            ),
-        }
-
-    def fault_config(self) -> Optional[Any]:
-        """The FaultConfig this job injects (None when injection is off)."""
+    def immaterial_fields(self) -> Tuple[str, ...]:
+        off = super().immaterial_fields()
         if not self.inject_faults:
-            return None
-        from repro.faults import FaultConfig
-
-        return FaultConfig(
-            seed=self.fault_seed,
-            media_rate=self.media_rate,
-            servo_rate=self.servo_rate,
-        )
+            off += ("accesses_per_drive",)
+        if self.tiering_extents <= 0:
+            off += ("tiering_seed", "tiering_target_utilization")
+        return off
 
     def build_tasks(self) -> List[Any]:
         """One rack task per rack, validated exactly like the CLI."""
@@ -306,33 +272,11 @@ class FleetJobConfig:
             accesses_per_drive=self.accesses_per_drive,
         )
 
-    def sweep_plumbing(self) -> Dict[str, Any]:
-        """Fleet task machinery — same shape as the workload plumbing."""
-        from repro.fleet.sweep import (
-            FLEET_TASK_KIND,
-            _run_rack_task,
-            fleet_results_document,
-            fleet_task_key,
-            rack_result_from_payload,
-            rack_result_to_payload,
-        )
+    def sweep_kind(self) -> Any:
+        """The fleet family's :class:`repro.simulation.resilience.SweepKind`."""
+        from repro.fleet.sweep import fleet_sweep_kind
 
-        return {
-            "task_kind": FLEET_TASK_KIND,
-            "worker": _run_rack_task,
-            "task_key": fleet_task_key,
-            "encode": rack_result_to_payload,
-            "decode": rack_result_from_payload,
-            "document": fleet_results_document,
-            # The fleet document carries a computed summary, so the
-            # rebuild decodes payloads back to results and re-derives it
-            # (pure arithmetic — byte-identical to the original).
-            "document_from_payloads": lambda parts: fleet_results_document(
-                [rack_result_from_payload(p) for p in parts]
-            ),
-            # Rack tasks always simulate; no engine-based worker plan.
-            "plan_workers": lambda tasks, workers: workers,
-        }
+        return fleet_sweep_kind()
 
 
 def job_config_key(config: Any) -> str:
@@ -347,111 +291,69 @@ def job_config_key(config: Any) -> str:
     return config_key(config.job_kind, config.material_config())
 
 
-_FIELD_TYPES: Dict[str, Tuple[type, ...]] = {
-    "kind": (str,),
-    "workloads": (list,),
-    "rpms": (list, type(None)),
-    "rpm_steps": (int,),
-    "requests": (int,),
-    "seed": (int,),
-    "keep_samples": (bool,),
-    "engine": (str,),
-    "inject_faults": (bool,),
-    "fault_seed": (int,),
-    "media_rate": (int, float),
-    "servo_rate": (int, float),
-    "backend": (str, type(None)),
-    "retries": (int,),
-    "workers": (int, type(None)),
+#: JSON value types accepted for each scalar field annotation.  A float
+#: field takes JSON integers too (coerced); bool never passes for a
+#: number (bool is an int subclass).
+_SCALAR_TYPES: Dict[Any, Tuple[type, ...]] = {
+    bool: (bool,),
+    int: (int,),
+    float: (int, float),
+    str: (str,),
 }
 
 
-_FLEET_FIELD_TYPES: Dict[str, Tuple[type, ...]] = {
-    "kind": (str,),
-    "racks": (int,),
-    "enclosures_per_rack": (int,),
-    "drives_per_enclosure": (int,),
-    "airflow_m3_per_s": (int, float),
-    "cooling_budget_w": (int, float),
-    "diameter_in": (int, float),
-    "platter_count": (int,),
-    "vcm_duty": (int, float),
-    "inlet_c": (int, float),
-    "recirculation": (int, float),
-    "envelope_c": (int, float),
-    "rpm_levels": (list, type(None)),
-    "max_rounds": (int,),
-    "base_afr": (int, float),
-    "reference_c": (int, float),
-    "mttr_hours": (int, float),
-    "tiering_extents": (int,),
-    "tiering_seed": (int,),
-    "tiering_target_utilization": (int, float),
-    "inject_faults": (bool,),
-    "fault_seed": (int,),
-    "media_rate": (int, float),
-    "servo_rate": (int, float),
-    "accesses_per_drive": (int,),
-    "backend": (str, type(None)),
-    "retries": (int,),
-    "workers": (int, type(None)),
-}
+@functools.lru_cache(maxsize=None)
+def _wire_fields(cls: type) -> Dict[str, Tuple[Tuple[type, ...], Any, Any]]:
+    """``{field: (accepted JSON types, element type, default)}`` for a job
+    config class, derived from its dataclass fields.
 
-
-def _check_fields(
-    payload: Mapping[str, Any], types: Dict[str, Tuple[type, ...]]
-) -> None:
-    """Strict field validation shared by both job families."""
-    unknown = sorted(set(payload) - set(types))
-    if unknown:
-        raise ServiceError(
-            f"unknown job field(s): {', '.join(unknown)} "
-            f"(accepted: {', '.join(sorted(types))})"
-        )
-    for name, accepted in types.items():
-        if name not in payload:
-            continue
-        value = payload[name]
-        # bool is an int subclass; don't let true/false sneak into counts.
-        if isinstance(value, bool) and bool not in accepted:
-            raise ServiceError(f"field {name!r} has the wrong type")
-        if not isinstance(value, accepted):
-            raise ServiceError(f"field {name!r} has the wrong type")
-
-
-def parse_job_request(payload: Any) -> Any:
-    """Validate one ``POST /v1/jobs`` body into a job config.
-
-    The ``kind`` field selects the family: ``workload_sweep`` (default,
-    → :class:`SweepJobConfig`) or ``fleet_sweep`` (→
-    :class:`FleetJobConfig`).  Raises :class:`ServiceError` (status 400)
-    on anything malformed: wrong top-level type, unknown kinds or
-    fields, wrong field types, empty or non-string workload lists,
-    non-positive counts.  Workload/engine/topology *semantics* are
-    validated later by ``build_tasks`` (the owning layer), still before
-    the job is queued.
+    ``element type`` is None for scalars and the item annotation for
+    tuple fields (sent as JSON lists); ``default`` is
+    :data:`dataclasses.MISSING` for required fields.  ``Optional`` fields
+    accept null, and so do tuple fields with a default (null asks for
+    the default).
     """
-    if not isinstance(payload, Mapping):
-        raise ServiceError("job request must be a JSON object")
-    kind = payload.get("kind", "workload_sweep")
-    if not isinstance(kind, str):
-        raise ServiceError("field 'kind' has the wrong type")
-    if kind == "fleet_sweep":
-        return _parse_fleet_request(payload)
-    if kind != "workload_sweep":
-        raise ServiceError(
-            f"unknown job kind {kind!r} "
-            "(accepted: workload_sweep, fleet_sweep)"
-        )
-    unknown = sorted(set(payload) - set(_FIELD_TYPES))
+    hints = typing.get_type_hints(cls)
+    spec: Dict[str, Tuple[Tuple[type, ...], Any, Any]] = {}
+    for f in dataclasses.fields(cls):
+        hint = hints[f.name]
+        args = typing.get_args(hint)
+        nullable = type(None) in args
+        if nullable:
+            hint = next(a for a in args if a is not type(None))
+        element = None
+        if typing.get_origin(hint) is tuple:
+            element = typing.get_args(hint)[0]
+            accepted: Tuple[type, ...] = (list,)
+            nullable = nullable or f.default is not dataclasses.MISSING
+        else:
+            accepted = _SCALAR_TYPES[hint]
+        if nullable:
+            accepted += (type(None),)
+        spec[f.name] = (accepted, element, f.default)
+    return spec
+
+
+def _parse_config(cls: type, payload: Mapping[str, Any]) -> Any:
+    """Strict validation of one job body against ``cls``'s fields.
+
+    Checks run in a fixed order — unknown fields, required fields, value
+    types, list contents, then value ranges — and each failure raises
+    the first :class:`ServiceError` it meets.
+    """
+    fields = _wire_fields(cls)
+    accepted = sorted(set(fields) | {"kind"})
+    unknown = sorted(set(payload) - set(accepted))
     if unknown:
         raise ServiceError(
             f"unknown job field(s): {', '.join(unknown)} "
-            f"(accepted: {', '.join(sorted(_FIELD_TYPES))})"
+            f"(accepted: {', '.join(accepted)})"
         )
-    if "workloads" not in payload:
-        raise ServiceError("job request needs a 'workloads' list")
-    for name, types in _FIELD_TYPES.items():
+    for name, (_, _, default) in fields.items():
+        # The only required fields are lists (``workloads``).
+        if default is dataclasses.MISSING and name not in payload:
+            raise ServiceError(f"job request needs a {name!r} list")
+    for name, (types, _, _) in fields.items():
         if name not in payload:
             continue
         value = payload[name]
@@ -460,38 +362,29 @@ def parse_job_request(payload: Any) -> Any:
             raise ServiceError(f"field {name!r} has the wrong type")
         if not isinstance(value, types):
             raise ServiceError(f"field {name!r} has the wrong type")
-    workloads = payload["workloads"]
-    if not workloads or not all(
-        isinstance(w, str) and w for w in workloads
-    ):
-        raise ServiceError("'workloads' must be a non-empty list of names")
-    rpms = payload.get("rpms")
-    if rpms is not None:
-        if not rpms or not all(
-            isinstance(r, (int, float)) and not isinstance(r, bool) for r in rpms
-        ):
-            raise ServiceError("'rpms' must be a non-empty list of numbers")
-        rpms = tuple(float(r) for r in rpms)
-    config = SweepJobConfig(
-        workloads=tuple(workloads),
-        rpms=rpms,
-        rpm_steps=int(payload.get("rpm_steps", 4)),
-        requests=int(payload.get("requests", 6000)),
-        seed=int(payload.get("seed", 1)),
-        keep_samples=bool(payload.get("keep_samples", False)),
-        engine=str(payload.get("engine", "exact")),
-        inject_faults=bool(payload.get("inject_faults", False)),
-        fault_seed=int(payload.get("fault_seed", 0)),
-        media_rate=float(payload.get("media_rate", 0.01)),
-        servo_rate=float(payload.get("servo_rate", 0.0)),
-        backend=payload.get("backend"),
-        retries=int(payload.get("retries", 1)),
-        workers=payload.get("workers"),
-    )
-    if config.rpm_steps <= 0:
-        raise ServiceError("'rpm_steps' must be positive")
-    if config.requests <= 0:
-        raise ServiceError("'requests' must be positive")
+    values: Dict[str, Any] = {}
+    for name, (types, element, _) in fields.items():
+        value = payload.get(name)
+        if value is None:
+            continue  # absent, or null for a nullable field: the default
+        if element is str:
+            if not value or not all(isinstance(v, str) and v for v in value):
+                raise ServiceError(f"{name!r} must be a non-empty list of names")
+            value = tuple(value)
+        elif element is not None:
+            if not value or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool)
+                for v in value
+            ):
+                raise ServiceError(f"{name!r} must be a non-empty list of numbers")
+            value = tuple(float(v) for v in value)
+        elif float in types:
+            value = float(value)
+        values[name] = value
+    config = cls(**values)
+    for name in cls.positive_fields:  # type: ignore[attr-defined]
+        if getattr(config, name) <= 0:
+            raise ServiceError(f"{name!r} must be positive")
     if config.retries < 0:
         raise ServiceError("'retries' must be >= 0")
     if config.workers is not None and config.workers < 0:
@@ -499,60 +392,31 @@ def parse_job_request(payload: Any) -> Any:
     return config
 
 
-def _parse_fleet_request(payload: Mapping[str, Any]) -> FleetJobConfig:
-    """Validate a ``kind: fleet_sweep`` body into a :class:`FleetJobConfig`.
+#: Job config class per wire-protocol ``kind``.
+_JOB_CONFIGS = {cls.request_kind: cls for cls in (SweepJobConfig, FleetJobConfig)}
 
-    Only wire-level shape is checked here; topology/policy semantics
-    (positive airflow, ascending ladder, ...) are enforced by the frozen
-    fleet dataclasses when ``build_tasks`` runs — still at submission
-    time, surfaced as a 400.
+
+def parse_job_request(payload: Any) -> Any:
+    """Validate one ``POST /v1/jobs`` body into a job config.
+
+    The ``kind`` field selects the family: ``workload_sweep`` (default,
+    → :class:`SweepJobConfig`) or ``fleet_sweep`` (→
+    :class:`FleetJobConfig`).  The accepted fields, their JSON types and
+    their defaults are the config dataclass's own.  Raises
+    :class:`ServiceError` (status 400) on anything malformed: wrong
+    top-level type, unknown kinds or fields, wrong field types, empty or
+    non-string workload lists, non-positive counts.  Workload/engine/
+    topology *semantics* are validated later by ``build_tasks`` (the
+    owning layer), still before the job is queued.
     """
-    _check_fields(payload, _FLEET_FIELD_TYPES)
-    rpm_levels = payload.get("rpm_levels")
-    if rpm_levels is not None:
-        if not rpm_levels or not all(
-            isinstance(r, (int, float)) and not isinstance(r, bool)
-            for r in rpm_levels
-        ):
-            raise ServiceError("'rpm_levels' must be a non-empty list of numbers")
-        rpm_levels = tuple(float(r) for r in rpm_levels)
-    else:
-        rpm_levels = (9600.0, 12000.0, 15000.0)
-    config = FleetJobConfig(
-        racks=int(payload.get("racks", 2)),
-        enclosures_per_rack=int(payload.get("enclosures_per_rack", 4)),
-        drives_per_enclosure=int(payload.get("drives_per_enclosure", 3)),
-        airflow_m3_per_s=float(payload.get("airflow_m3_per_s", 0.018)),
-        cooling_budget_w=float(payload.get("cooling_budget_w", 300.0)),
-        diameter_in=float(payload.get("diameter_in", 2.6)),
-        platter_count=int(payload.get("platter_count", 1)),
-        vcm_duty=float(payload.get("vcm_duty", 0.5)),
-        inlet_c=float(payload.get("inlet_c", AMBIENT_TEMPERATURE_C)),
-        recirculation=float(payload.get("recirculation", 0.2)),
-        envelope_c=float(payload.get("envelope_c", THERMAL_ENVELOPE_C)),
-        rpm_levels=rpm_levels,
-        max_rounds=int(payload.get("max_rounds", 64)),
-        base_afr=float(payload.get("base_afr", 0.02)),
-        reference_c=float(payload.get("reference_c", 40.0)),
-        mttr_hours=float(payload.get("mttr_hours", 12.0)),
-        tiering_extents=int(payload.get("tiering_extents", 0)),
-        tiering_seed=int(payload.get("tiering_seed", 0)),
-        tiering_target_utilization=float(
-            payload.get("tiering_target_utilization", 0.7)
-        ),
-        inject_faults=bool(payload.get("inject_faults", False)),
-        fault_seed=int(payload.get("fault_seed", 0)),
-        media_rate=float(payload.get("media_rate", 0.01)),
-        servo_rate=float(payload.get("servo_rate", 0.0)),
-        accesses_per_drive=int(payload.get("accesses_per_drive", 256)),
-        backend=payload.get("backend"),
-        retries=int(payload.get("retries", 1)),
-        workers=payload.get("workers"),
-    )
-    if config.racks <= 0:
-        raise ServiceError("'racks' must be positive")
-    if config.retries < 0:
-        raise ServiceError("'retries' must be >= 0")
-    if config.workers is not None and config.workers < 0:
-        raise ServiceError("'workers' must be >= 0")
-    return config
+    if not isinstance(payload, Mapping):
+        raise ServiceError("job request must be a JSON object")
+    kind = payload.get("kind", "workload_sweep")
+    if not isinstance(kind, str):
+        raise ServiceError("field 'kind' has the wrong type")
+    cls = _JOB_CONFIGS.get(kind)
+    if cls is None:
+        raise ServiceError(
+            f"unknown job kind {kind!r} (accepted: {', '.join(_JOB_CONFIGS)})"
+        )
+    return _parse_config(cls, payload)

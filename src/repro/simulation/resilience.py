@@ -65,11 +65,9 @@ from repro.simulation.backends import (
     ExecutionBackend,
     InFlight,
     TaskEnvelope,
-    guarded_call,
     resolve_backend,
     resolve_backend_name,
 )
-from repro.simulation.backends.process import reap_executor
 
 TaskT = TypeVar("TaskT")
 ResultT = TypeVar("ResultT")
@@ -83,12 +81,6 @@ MANIFEST_SCHEMA = "repro.sweep_manifest/2"
 #: from ``REPRO_SWEEP_BACKEND``, default ``process``).
 BackendSpec = Optional[Union[str, ExecutionBackend]]
 
-# Backwards-compatible aliases: these moved into
-# ``repro.simulation.backends`` when the execution layer became
-# pluggable; existing imports (tests, embedders) keep working.
-_guarded_call = guarded_call
-_kill_pool = reap_executor
-
 __all__ = [
     "MANIFEST_SCHEMA",
     "POLL_INTERVAL_S",
@@ -96,8 +88,10 @@ __all__ = [
     "STATUS_OK",
     "STATUS_TIMEOUT",
     "BackendSpec",
+    "SweepKind",
     "SweepRunReport",
     "TaskEnvelope",
+    "run_kind",
     "run_sweep_cached",
     "run_sweep_resilient",
 ]
@@ -647,4 +641,91 @@ def run_sweep_cached(
         store_misses=len(miss_indices),
         task_keys=keys,
         backend=sub.backend,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Sweep families: one record per family, one runner for all of them
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SweepKind:
+    """Everything the runner needs to know about one sweep family.
+
+    ``name`` is the task-family tag stored with every result (and salted
+    into the family's keys by ``key``); ``worker`` computes one task in a
+    pool process; ``key`` / ``encode`` / ``decode`` are the store key and
+    payload codec; ``document`` builds the family's canonical results
+    document from a (possibly holey) result list; ``plan_workers``
+    optionally adjusts the worker count for a task list (the workload
+    family runs all-analytic sweeps in-process).
+
+    Families build their record *when a run starts* (see
+    :func:`repro.simulation.sweep.workload_sweep_kind` and
+    :func:`repro.fleet.sweep.fleet_sweep_kind`), so rebinding one of the
+    module-level functions — tracing, tests — takes effect on the next
+    run.
+    """
+
+    name: str
+    worker: Callable[[Any], Any]
+    key: Callable[[Any], str]
+    encode: Callable[[Any], Any]
+    decode: Callable[[Any], Any]
+    document: Callable[[Sequence[Any]], Dict[str, Any]]
+    plan_workers: Optional[
+        Callable[[Sequence[Any], Optional[int]], Optional[int]]
+    ] = None
+
+
+def run_kind(
+    kind: SweepKind,
+    tasks: Sequence[Any],
+    *,
+    store: Optional[Any] = None,
+    workers: Optional[int] = None,
+    retries: int = 0,
+    backoff_s: float = 0.0,
+    timeout_s: Optional[float] = None,
+    telemetry: Optional[Any] = None,
+    backend: BackendSpec = None,
+    on_result: Optional[Callable[[TaskEnvelope], None]] = None,
+) -> SweepRunReport:
+    """Run one sweep family's tasks: the single entry point of every caller.
+
+    Plans the worker count (``kind.plan_workers``), settles the store —
+    the ``shared-store`` backend coordinates *through* a store, so
+    selecting it without one materializes the default store
+    (``REPRO_STORE_DIR``, else ``~/.cache/repro``) — and then runs cached
+    (:func:`run_sweep_cached`) when a store is in play, resilient
+    (:func:`run_sweep_resilient`) otherwise.  Task failures never raise;
+    strict callers follow up with :meth:`SweepRunReport.raise_on_failure`.
+    """
+    if kind.plan_workers is not None:
+        workers = kind.plan_workers(tasks, workers)
+    if store is None and _backend_label(backend) == "shared-store":
+        from repro.store import ResultStore
+
+        store = ResultStore()
+    knobs: Dict[str, Any] = dict(
+        workers=workers,
+        retries=retries,
+        backoff_s=backoff_s,
+        timeout_s=timeout_s,
+        telemetry=telemetry,
+        backend=backend,
+        on_result=on_result,
+    )
+    if store is None:
+        return run_sweep_resilient(tasks, kind.worker, **knobs)
+    return run_sweep_cached(
+        tasks,
+        kind.worker,
+        store,
+        kind.key,
+        kind.encode,
+        kind.decode,
+        kind=kind.name,
+        **knobs,
     )

@@ -53,7 +53,7 @@ from repro.faults import FaultConfig
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.scaling.roadmap import RoadmapPoint
     from repro.simulation.backends import ExecutionBackend
-    from repro.simulation.resilience import SweepRunReport
+    from repro.simulation.resilience import SweepKind, SweepRunReport
     from repro.store import ResultStore
     from repro.telemetry import Telemetry
 
@@ -497,37 +497,23 @@ def plan_sweep_workers(
     return workers
 
 
-def effective_store(
-    store: Optional["ResultStore"], backend: BackendSpec
-) -> Optional["ResultStore"]:
-    """The store a sweep will actually use, given its backend.
+def workload_sweep_kind() -> "SweepKind":
+    """The workload family's :class:`SweepKind`.
 
-    The ``shared-store`` backend coordinates *through* a result store, so
-    selecting it without one (say, ``REPRO_SWEEP_BACKEND=shared-store``
-    flipping a whole test run) would be a contradiction; instead the
-    default store (``REPRO_STORE_DIR``, else ``~/.cache/repro``) is
-    materialized.  Every other backend passes the caller's choice
-    through untouched.
+    Built per run, from this module's attributes at call time, so a
+    rebound worker or codec (tracing, tests) is what the run uses.
     """
-    if store is not None:
-        return store
-    from repro.simulation.backends import ExecutionBackend, resolve_backend_name
+    from repro.simulation.resilience import SweepKind
 
-    name = (
-        backend.name
-        if isinstance(backend, ExecutionBackend)
-        else resolve_backend_name(backend)
+    return SweepKind(
+        name=WORKLOAD_TASK_KIND,
+        worker=_run_workload_task,
+        key=workload_task_key,
+        encode=workload_result_to_payload,
+        decode=workload_result_from_payload,
+        document=results_document,
+        plan_workers=plan_sweep_workers,
     )
-    if name != "shared-store":
-        return None
-    from repro.store import ResultStore
-
-    return ResultStore()
-
-
-#: Backward-compatible alias (the helper went public for the fleet
-#: sweep front-ends; the behaviour is unchanged).
-_effective_store = effective_store
 
 
 def sweep_workloads(
@@ -574,35 +560,21 @@ def sweep_workloads(
         One result per (workload, RPM) point, ordered workload-major in the
         order given, then by ascending ladder position.
     """
-    tasks = build_workload_tasks(
+    _, report = sweep_workloads_resilient(
         names,
         rpms=rpms,
         rpm_steps=rpm_steps,
         requests=requests,
         seed=seed,
+        workers=workers,
         keep_samples=keep_samples,
         telemetry=telemetry,
         probe_interval_ms=probe_interval_ms,
         trace_capacity=trace_capacity,
         fault_config=fault_config,
         engine=engine,
-    )
-    workers = plan_sweep_workers(tasks, workers)
-    store = effective_store(store, backend)
-    if store is None:
-        return run_sweep(tasks, _run_workload_task, workers=workers, backend=backend)
-    from repro.simulation.resilience import run_sweep_cached
-
-    report = run_sweep_cached(
-        tasks,
-        _run_workload_task,
-        store,
-        workload_task_key,
-        workload_result_to_payload,
-        workload_result_from_payload,
-        kind=WORKLOAD_TASK_KIND,
-        workers=workers,
         retries=0,
+        store=store,
         backend=backend,
     )
     report.raise_on_failure()
@@ -652,7 +624,7 @@ def sweep_workloads_resilient(
             :data:`BackendSpec`); the resolved name lands on
             ``report.backend`` and in the manifest.
     """
-    from repro.simulation.resilience import run_sweep_cached, run_sweep_resilient
+    from repro.simulation.resilience import run_kind
 
     tasks = build_workload_tasks(
         names,
@@ -667,33 +639,15 @@ def sweep_workloads_resilient(
         fault_config=fault_config,
         engine=engine,
     )
-    workers = plan_sweep_workers(tasks, workers)
-    store = effective_store(store, backend)
-    if store is not None:
-        report = run_sweep_cached(
-            tasks,
-            _run_workload_task,
-            store,
-            workload_task_key,
-            workload_result_to_payload,
-            workload_result_from_payload,
-            kind=WORKLOAD_TASK_KIND,
-            workers=workers,
-            retries=retries,
-            backoff_s=backoff_s,
-            timeout_s=timeout_s,
-            telemetry=run_telemetry,
-            backend=backend,
-        )
-    else:
-        report = run_sweep_resilient(
-            tasks,
-            _run_workload_task,
-            workers=workers,
-            retries=retries,
-            backoff_s=backoff_s,
-            timeout_s=timeout_s,
-            telemetry=run_telemetry,
-            backend=backend,
-        )
+    report = run_kind(
+        workload_sweep_kind(),
+        tasks,
+        store=store,
+        workers=workers,
+        retries=retries,
+        backoff_s=backoff_s,
+        timeout_s=timeout_s,
+        telemetry=run_telemetry,
+        backend=backend,
+    )
     return report.results(), report

@@ -188,3 +188,43 @@ def test_sigterm_midjob_then_restart_resumes_from_store(store_dir, tmp_path):
         assert progress["cached"] >= done_before
         assert progress["cached"] < progress["total"] or done_before == 4
     assert server.proc.returncode == 0
+
+
+#: Child program for the start-up SIGTERM test: ``repro serve``'s entry
+#: point, with the port-file write hooked so the process signals itself
+#: the instant the file is opened — the earliest moment a supervisor
+#: watching for the file could send SIGTERM.
+_SIGTERM_AT_PORT_FILE = """
+import builtins, os, signal, sys
+from repro.service import app
+from repro.store import ResultStore
+
+store_dir, port_file = sys.argv[1], sys.argv[2]
+
+def open_then_sigterm(path, *args, **kwargs):
+    handle = builtins.open(path, *args, **kwargs)
+    if path == port_file:
+        os.kill(os.getpid(), signal.SIGTERM)
+    return handle
+
+app.open = open_then_sigterm
+sys.exit(app.run_service(ResultStore(root=store_dir), port=0, port_file=port_file))
+"""
+
+
+def test_sigterm_as_port_file_appears_drains(store_dir, tmp_path):
+    port_file = tmp_path / "port"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", _SIGTERM_AT_PORT_FILE, str(store_dir), str(port_file)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    # Killed by the signal, this is -SIGTERM; with the handlers in place
+    # before the port file exists, the service drains and exits 0.
+    assert proc.returncode == 0, proc.stderr
+    assert "drained" in proc.stdout
+    assert port_file.read_text().strip().isdigit()

@@ -256,3 +256,105 @@ class TestPayloadCodec:
     def test_unencodable_type_rejected(self):
         with pytest.raises(StoreError):
             encode_payload({"x": set()})
+
+
+# ---------------------------------------------------------------------------
+# Literal pins: the keys real stores and job ledgers already hold
+#
+# The laws above say keys behave; these say keys *stay put*.  A refactor of
+# the sweep plumbing must leave every value below unchanged — a moved key
+# turns every warm store cold and splits job dedup across versions.  Fleet
+# task keys are pinned in tests/golden/fleet_2rack.json.
+# ---------------------------------------------------------------------------
+
+
+class TestLiteralKeyPins:
+    def test_plain_workload_task_key(self):
+        from repro.simulation.sweep import WorkloadTask, workload_task_key
+
+        task = WorkloadTask(workload="tpcc", rpm=10000.0, requests=400, seed=3)
+        assert workload_task_key(task) == "77a4b8a67b8b233c45fb25dc2d00b57b"
+
+    def test_faulted_telemetry_workload_task_key(self):
+        from repro.faults import FaultConfig
+        from repro.simulation.sweep import WorkloadTask, workload_task_key
+
+        task = WorkloadTask(
+            workload="oltp",
+            rpm=15000.0,
+            requests=300,
+            seed=7,
+            telemetry=True,
+            probe_interval_ms=50.0,
+            trace_capacity=512,
+            fault_config=FaultConfig(seed=5, media_rate=0.02, servo_rate=0.001),
+            engine="vectorized",
+        )
+        assert workload_task_key(task) == "1d8efa9635761309e8b4b119268a10fa"
+
+    def test_sweep_job_config_key(self):
+        from repro.service.schemas import (
+            SweepJobConfig,
+            job_config_key,
+            parse_job_request,
+        )
+
+        pinned = "e5a3984cdca657df1b5a8113fe78c0fd"
+        config = SweepJobConfig(
+            workloads=("tpcc", "oltp"),
+            rpm_steps=2,
+            requests=200,
+            seed=11,
+            inject_faults=True,
+            fault_seed=4,
+            media_rate=0.02,
+        )
+        assert job_config_key(config) == pinned
+        # The wire form of the same sweep; execution knobs stay out.
+        parsed = parse_job_request(
+            {
+                "workloads": ["tpcc", "oltp"],
+                "rpm_steps": 2,
+                "requests": 200,
+                "seed": 11,
+                "inject_faults": True,
+                "fault_seed": 4,
+                "media_rate": 0.02,
+                "backend": "serial",
+                "retries": 0,
+            }
+        )
+        assert job_config_key(parsed) == pinned
+
+    def test_fleet_job_config_key(self):
+        from repro.service.schemas import (
+            FleetJobConfig,
+            job_config_key,
+            parse_job_request,
+        )
+
+        pinned = "3052d31e0b820d436139272ea389ee81"
+        config = FleetJobConfig(
+            racks=2,
+            enclosures_per_rack=3,
+            drives_per_enclosure=2,
+            recirculation=0.3,
+            tiering_extents=24,
+            inject_faults=True,
+            accesses_per_drive=64,
+        )
+        assert job_config_key(config) == pinned
+        parsed = parse_job_request(
+            {
+                "kind": "fleet_sweep",
+                "racks": 2,
+                "enclosures_per_rack": 3,
+                "drives_per_enclosure": 2,
+                "recirculation": 0.3,
+                "tiering_extents": 24,
+                "inject_faults": True,
+                "accesses_per_drive": 64,
+                "workers": 2,
+            }
+        )
+        assert job_config_key(parsed) == pinned

@@ -845,6 +845,41 @@ class TestRealRepo:
         # The same edit also trips the schema-drift gate.
         assert any(f.rule_id == "TL013" for f in result.findings)
 
+    def test_sweep_kind_records_keep_workers_and_codecs_rooted(self):
+        # Each family names its worker, key and codec only inside its
+        # SweepKind(...) record; the record is a worker sink, so they
+        # stay keyed-zone roots (and TL007-TL012 keep covering them).
+        result = run_deep(DeepConfig(project_root=REPO_ROOT, cache_dir=None))
+        for name in (
+            "repro.simulation.sweep._run_workload_task",
+            "repro.simulation.sweep.workload_task_key",
+            "repro.simulation.sweep.workload_result_to_payload",
+            "repro.simulation.sweep.workload_result_from_payload",
+            "repro.fleet.sweep._run_rack_task",
+            "repro.fleet.sweep.fleet_task_key",
+            "repro.fleet.sweep.rack_result_to_payload",
+            "repro.fleet.sweep.rack_result_from_payload",
+        ):
+            assert name in result.roots, name
+
+    def test_mutation_time_time_in_rack_worker_is_caught(self, tmp_path):
+        dest = _copy_repo_tree(tmp_path)
+        fleet = dest / "src/repro/fleet/sweep.py"
+        source = fleet.read_text(encoding="utf-8")
+        needle = "def _run_rack_task("
+        assert needle in source
+        source = source.replace(needle, "import time\n\n\n" + needle, 1)
+        marker = source.index('"""', source.index(needle))
+        end = source.index('"""', marker + 3) + 3
+        source = source[:end] + "\n    _stamp = time.time()" + source[end:]
+        fleet.write_text(source, encoding="utf-8")
+        result = run_deep(DeepConfig(project_root=dest, cache_dir=None))
+        tl007 = [f for f in result.findings if f.rule_id == "TL007"]
+        assert any(
+            "time.time" in f.message and f.path.endswith("fleet/sweep.py")
+            for f in tl007
+        ), "injected time.time() in the rack worker was not caught"
+
     def test_mutation_unsorted_listdir_in_keyed_zone_is_caught(self, tmp_path):
         dest = _copy_repo_tree(tmp_path)
         sweep = dest / "src/repro/simulation/sweep.py"

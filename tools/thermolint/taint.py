@@ -52,11 +52,14 @@ DEFAULT_ROOT_PATTERNS: Tuple[str, ...] = (
 )
 
 #: Executor front-ends: a project function passed to one of these by name
-#: runs inside a worker process and is a keyed-zone root.
+#: runs inside a worker process and is a keyed-zone root.  ``SweepKind``
+#: is the sweep-family record :func:`run_kind` executes: its worker, key
+#: and codec are named there and nowhere else.
 DEFAULT_WORKER_SINKS: Tuple[str, ...] = (
     "*.run_sweep",
     "*.run_sweep_resilient",
     "*.run_sweep_cached",
+    "*.SweepKind",
 )
 
 #: Files whose content defines what a store key *means*.  Editing any of
