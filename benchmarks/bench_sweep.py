@@ -56,12 +56,12 @@ def bench_figure2(workers: Optional[int], quick: bool) -> dict:
     sweep ``repeats`` times (every repetition does full work — no caching
     crosses task boundaries) and both paths run the identical list.
     """
+    from repro.simulation.resilience import run_kind
     from repro.simulation.sweep import (
         ROADMAP_YEARS,
         RoadmapTask,
-        _run_roadmap_task,
         resolve_workers,
-        run_sweep,
+        roadmap_sweep_kind,
     )
 
     platter_counts = (1, 2, 4)
@@ -70,11 +70,15 @@ def bench_figure2(workers: Optional[int], quick: bool) -> dict:
     tasks = [
         RoadmapTask(platter_count=count, years=years) for count in platter_counts
     ] * repeats
-    serial, serial_s = _time(lambda: run_sweep(tasks, _run_roadmap_task, workers=1))
+
+    def run(count: int) -> list:
+        report = run_kind(roadmap_sweep_kind(), tasks, workers=count)
+        report.raise_on_failure()
+        return report.ok_results()
+
+    serial, serial_s = _time(lambda: run(1))
     resolved = resolve_workers(workers, len(tasks))
-    parallel, parallel_s = _time(
-        lambda: run_sweep(tasks, _run_roadmap_task, workers=resolved)
-    )
+    parallel, parallel_s = _time(lambda: run(resolved))
     return {
         "platter_counts": list(platter_counts),
         "years": len(years),

@@ -40,6 +40,9 @@ from repro.reporting import format_table
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.simulation.resilience import SweepKind
 
+#: ``--backend`` choices (:data:`repro.simulation.backends.BACKEND_NAMES`).
+_BACKEND_CHOICES = ("serial", "process", "shared-store")
+
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     from repro.drives import PAPER_MODEL_PREDICTIONS, TABLE1_DRIVES
@@ -415,6 +418,7 @@ def _run_kind_from_args(
     if args.results_out:
         from repro.store import stable_json
 
+        assert kind.document is not None  # both CLI families write one
         with open(args.results_out, "wb") as binary:
             binary.write((stable_json(kind.document(results)) + "\n").encode("utf-8"))
         print(
@@ -843,7 +847,7 @@ def _add_run_flags(
     p.add_argument("-w", "--workers", type=int, default=None, help="process count")
     p.add_argument(
         "--backend",
-        choices=("serial", "process", "shared-store"),
+        choices=_BACKEND_CHOICES,
         default=None,
         help="execution backend (default $REPRO_SWEEP_BACKEND or process); "
         "shared-store coordinates with peer processes through the result "
@@ -1029,10 +1033,11 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("-w", "--workers", type=int, default=None, help="process count")
     ps.add_argument(
         "--backend",
-        choices=("serial", "process"),
+        choices=_BACKEND_CHOICES,
         default=None,
-        help="execution backend (default $REPRO_SWEEP_BACKEND or process; "
-        "roadmap tasks have no content keys, so shared-store does not apply)",
+        help="execution backend (default $REPRO_SWEEP_BACKEND or process); "
+        "shared-store coordinates with peer processes through the result "
+        "store ($REPRO_STORE_DIR, else ~/.cache/repro)",
     )
     ps = sweep_sub.add_parser(
         "workload", help="Figure 4 sweep over (workload, RPM) points"
@@ -1202,7 +1207,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--backend",
-        choices=["serial", "process", "shared-store"],
+        choices=_BACKEND_CHOICES,
         default=None,
         help="default execution backend for jobs that don't pick one",
     )

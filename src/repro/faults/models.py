@@ -157,15 +157,9 @@ class FaultStats:
 
     def as_dict(self) -> Dict[str, float]:
         """Plain-data snapshot (JSON-serializable, sweep-picklable)."""
-        return {
-            "media_retries": self.media_retries,
-            "media_remaps": self.media_remaps,
-            "servo_faults": self.servo_faults,
-            "thermal_emergencies": self.thermal_emergencies,
-            "ecc_retries": self.ecc_retries,
-            "extra_ms": self.extra_ms,
-            "total_injected": self.total_injected,
-        }
+        from repro.store import record_payload
+
+        return {**record_payload(self), "total_injected": self.total_injected}
 
     def merge(self, other: "FaultStats") -> None:
         """Accumulate another component's counters into this one."""

@@ -3,19 +3,22 @@
 A fleet run fans out one task per rack — racks are thermally independent
 of each other (they couple *internally* through shared air), so they are
 the natural parallel unit, and a rack task is small enough to rebuild
-its whole world from the frozen description alone.  The module mirrors
-:mod:`repro.simulation.sweep` exactly:
+its whole world from the frozen description alone.  The fleet is one
+more sweep family for :func:`repro.simulation.resilience.run_kind`
+(:func:`fleet_sweep_kind`), shaped like those in
+:mod:`repro.simulation.sweep`:
 
 * a frozen :class:`RackTask` carrying every input;
 * a module-level pure worker (:func:`_run_rack_task`) so tasks pickle
   under any start method;
-* a canonical content key (:func:`fleet_task_key`) that folds immaterial
-  knobs to None, so fleet runs cache/resume/dedup through the result
-  store and stay byte-identical across the serial, process and
-  shared-store backends;
-* an exact payload codec and a canonical results document
-  (:func:`fleet_results_json_bytes`) — the byte-identity currency of the
-  fleet differential suite.
+* a content key (:func:`fleet_task_key`) and an exact payload codec
+  derived from the dataclasses by the record codec in
+  :mod:`repro.store.canonical`; :meth:`RackTask.immaterial_fields` names
+  the knobs that fold to None, so fleet runs cache/resume/dedup through
+  the result store and stay byte-identical across the serial, process
+  and shared-store backends;
+* a canonical results document (:func:`fleet_results_json_bytes`) — the
+  byte-identity currency of the fleet differential suite.
 
 Fault injection inside a rack task scopes each drive's injector with its
 fleet identity (``rack/e<enclosure>/s<slot>``), so two drives with
@@ -40,12 +43,12 @@ from repro.faults import FaultConfig
 from repro.fleet.dtm import FleetDTMPolicy, coordinate_rack
 from repro.fleet.reliability import ReliabilityParams, drive_afr, fleet_reliability
 from repro.fleet.tiering import TieringPolicy, plan_rack_tiering
-from repro.fleet.topology import FleetSpec, RackSpec, rack_config
+from repro.fleet.topology import FleetSpec, RackSpec
+from repro.store.canonical import config_key, material, record_from_payload, record_payload
 from repro.units import rotation_time_ms
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from repro.simulation.resilience import SweepKind, SweepRunReport
-    from repro.simulation.sweep import BackendSpec
+    from repro.simulation.resilience import BackendSpec, SweepKind, SweepRunReport
     from repro.store import ResultStore
 
 __all__ = [
@@ -101,6 +104,15 @@ class RackTask:
     def label(self) -> str:
         """Human-readable task identity for manifests and logs."""
         return f"{self.rack.name}[{self.rack.drive_count}d]"
+
+    def immaterial_fields(self) -> Tuple[str, ...]:
+        """Fields whose feature is off in this task: they shape nothing."""
+        off: Tuple[str, ...] = ()
+        if self.tiering_extents <= 0:
+            off += ("tiering_seed", "tiering_target_utilization")
+        if self.fault_config is None:
+            off += ("accesses_per_drive", "average_seek_ms")
+        return off
 
 
 @dataclass(frozen=True)
@@ -261,141 +273,23 @@ def _run_rack_task(task: RackTask) -> RackResult:
 
 
 # ---------------------------------------------------------------------------
-# Result-store integration: task keys and the result codec (the fleet
-# keyed zone — every material RackTask field must enter the key, every
-# RackResult field must round-trip the codec exactly).
+# Result-store integration: the task key and the result codec
 # ---------------------------------------------------------------------------
 
 
 def fleet_task_key(task: RackTask) -> str:
-    """The canonical content key of one rack task.
-
-    Immaterial knobs are normalized out: the tiering knobs shape nothing
-    when ``tiering_extents`` is 0, and the fault-replay knobs shape
-    nothing without a fault config — asking for the same rack with
-    different unused knobs is the same task.
-    """
-    import dataclasses
-
-    from repro.store import config_key
-
-    fault = (
-        dataclasses.asdict(task.fault_config)
-        if task.fault_config is not None
-        else None
-    )
-    tiered = task.tiering_extents > 0
-    config = {
-        "rack": rack_config(task.rack),
-        "envelope_c": task.envelope_c,
-        "rpm_levels": list(task.rpm_levels),
-        "max_rounds": task.max_rounds,
-        "base_afr": task.base_afr,
-        "reference_c": task.reference_c,
-        "mttr_hours": task.mttr_hours,
-        "tiering_extents": task.tiering_extents,
-        "tiering_seed": task.tiering_seed if tiered else None,
-        "tiering_target_utilization": (
-            task.tiering_target_utilization if tiered else None
-        ),
-        "accesses_per_drive": (
-            task.accesses_per_drive if fault is not None else None
-        ),
-        "average_seek_ms": task.average_seek_ms if fault is not None else None,
-        "fault_config": fault,
-    }
-    return config_key(FLEET_TASK_KIND, config)
+    """The canonical content key of one rack task."""
+    return config_key(FLEET_TASK_KIND, material(task, task.immaterial_fields()))
 
 
 def rack_result_to_payload(result: RackResult) -> Dict[str, object]:
     """Serialize one rack result into an exact strict-JSON payload."""
-    from repro.store import encode_payload
-
-    return {
-        "rack": result.rack,
-        "drive_count": result.drive_count,
-        "converged": result.converged,
-        "rounds": result.rounds,
-        "residual_breaches": result.residual_breaches,
-        "capacity_fraction": result.capacity_fraction,
-        "total_heat_w": result.total_heat_w,
-        "max_internal_c": result.max_internal_c,
-        "mean_internal_c": result.mean_internal_c,
-        "expected_annual_failures": result.expected_annual_failures,
-        "mean_afr": result.mean_afr,
-        "worst_afr": result.worst_afr,
-        "availability": result.availability,
-        "throttle_events": [list(event) for event in result.throttle_events],
-        "drives": [
-            {
-                "enclosure": d.enclosure,
-                "slot": d.slot,
-                "rpm": d.rpm,
-                "local_inlet_c": d.local_inlet_c,
-                "internal_air_c": d.internal_air_c,
-                "afr": d.afr,
-                "faults": (
-                    encode_payload(d.faults) if d.faults is not None else None
-                ),
-            }
-            for d in result.drives
-        ],
-        "tiering": (
-            encode_payload(result.tiering)
-            if result.tiering is not None
-            else None
-        ),
-    }
+    return record_payload(result)
 
 
 def rack_result_from_payload(payload: Dict[str, object]) -> RackResult:
-    """Reconstruct a result indistinguishable from a computed one.
-
-    Tuple-typed fields are rebuilt from JSON lists; numbers pass through
-    uncoerced (JSON preserves int-vs-float exactly) so cached results
-    serialize identically to computed ones.
-    """
-    from repro.store import decode_payload
-
-    tiering = payload["tiering"]
-    return RackResult(
-        rack=payload["rack"],  # type: ignore[arg-type]
-        drive_count=payload["drive_count"],  # type: ignore[arg-type]
-        converged=payload["converged"],  # type: ignore[arg-type]
-        rounds=payload["rounds"],  # type: ignore[arg-type]
-        residual_breaches=payload["residual_breaches"],  # type: ignore[arg-type]
-        capacity_fraction=payload["capacity_fraction"],  # type: ignore[arg-type]
-        total_heat_w=payload["total_heat_w"],  # type: ignore[arg-type]
-        max_internal_c=payload["max_internal_c"],  # type: ignore[arg-type]
-        mean_internal_c=payload["mean_internal_c"],  # type: ignore[arg-type]
-        expected_annual_failures=payload[
-            "expected_annual_failures"
-        ],  # type: ignore[assignment]
-        mean_afr=payload["mean_afr"],  # type: ignore[arg-type]
-        worst_afr=payload["worst_afr"],  # type: ignore[arg-type]
-        availability=payload["availability"],  # type: ignore[arg-type]
-        throttle_events=tuple(
-            (r, e, s, f, t)
-            for r, e, s, f, t in payload["throttle_events"]  # type: ignore[union-attr]
-        ),
-        drives=tuple(
-            DriveReport(
-                enclosure=d["enclosure"],
-                slot=d["slot"],
-                rpm=d["rpm"],
-                local_inlet_c=d["local_inlet_c"],
-                internal_air_c=d["internal_air_c"],
-                afr=d["afr"],
-                faults=(
-                    decode_payload(d["faults"])
-                    if d["faults"] is not None
-                    else None
-                ),
-            )
-            for d in payload["drives"]  # type: ignore[union-attr]
-        ),
-        tiering=decode_payload(tiering) if tiering is not None else None,
-    )
+    """Reconstruct a result indistinguishable from a computed one."""
+    return record_from_payload(RackResult, payload)
 
 
 def fleet_summary(

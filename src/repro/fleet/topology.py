@@ -19,14 +19,13 @@ from typing import Any, Dict, Iterator, Mapping, Tuple
 
 from repro.constants import AMBIENT_TEMPERATURE_C, THERMAL_ENVELOPE_C
 from repro.errors import FleetError
+from repro.store.canonical import record_payload
 from repro.units import KELVIN_OFFSET
 
 __all__ = [
     "EnclosureSpec",
     "RackSpec",
     "FleetSpec",
-    "enclosure_config",
-    "rack_config",
     "fleet_config",
     "enclosure_from_config",
     "rack_from_config",
@@ -156,34 +155,9 @@ class FleetSpec:
 # ---------------------------------------------------------------------------
 
 
-def enclosure_config(enclosure: EnclosureSpec) -> Dict[str, Any]:
-    """Canonical JSON form of one enclosure."""
-    return {
-        "drives": enclosure.drives,
-        "airflow_m3_per_s": enclosure.airflow_m3_per_s,
-        "cooling_budget_w": enclosure.cooling_budget_w,
-        "diameter_in": enclosure.diameter_in,
-        "platter_count": enclosure.platter_count,
-        "vcm_duty": enclosure.vcm_duty,
-    }
-
-
-def rack_config(rack: RackSpec) -> Dict[str, Any]:
-    """Canonical JSON form of one rack."""
-    return {
-        "name": rack.name,
-        "enclosures": [enclosure_config(e) for e in rack.enclosures],
-        "inlet_c": rack.inlet_c,
-        "recirculation": rack.recirculation,
-    }
-
-
 def fleet_config(fleet: FleetSpec) -> Dict[str, Any]:
-    """Canonical JSON form of a whole fleet."""
-    return {
-        "racks": [rack_config(r) for r in fleet.racks],
-        "envelope_c": fleet.envelope_c,
-    }
+    """Canonical JSON form of a whole fleet (every field, nested)."""
+    return record_payload(fleet)
 
 
 def _take(mapping: Mapping[str, Any], what: str, allowed: Tuple[str, ...]) -> None:

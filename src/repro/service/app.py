@@ -38,6 +38,9 @@ from repro.service.routes import (
 
 __all__ = ["ServiceApp", "run_service"]
 
+#: Most header lines one request may carry; a flood past it is a 400.
+MAX_HEADER_LINES = 100
+
 _STATUS_TEXT = {
     200: "OK",
     201: "Created",
@@ -117,13 +120,18 @@ class ServiceApp:
             raise ValueError(f"malformed request line: {request_line!r}")
         method, path, _version = parts
         headers: Dict[str, str] = {}
-        while True:
+        for _ in range(MAX_HEADER_LINES + 1):  # + the blank terminator
             line = await reader.readline()
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        else:
+            raise ValueError(f"more than {MAX_HEADER_LINES} header lines")
+        declared = headers.get("content-length", "0") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            raise ValueError("Content-Length must be a non-negative integer")
+        length = int(declared)
         if length > MAX_BODY_BYTES:
             raise ValueError(f"request body too large ({length} bytes)")
         body = await reader.readexactly(length) if length else b""

@@ -84,18 +84,12 @@ class _JobConfig:
         """The key-entering field subset, in canonical form: every
         non-execution field in field order, tuples as lists, immaterial
         ones folded to None so they cannot split the dedup key."""
-        off = self.immaterial_fields()
-        material: Dict[str, Any] = {}
-        for f in dataclasses.fields(self):  # type: ignore[arg-type]
-            if f.name in _EXECUTION_FIELDS:
-                continue
-            value = getattr(self, f.name)
-            if f.name in off:
-                value = None
-            elif isinstance(value, tuple):
-                value = list(value)
-            material[f.name] = value
-        return material
+        from repro.store import material
+
+        config = material(self, self.immaterial_fields())
+        for name in _EXECUTION_FIELDS:
+            del config[name]
+        return config
 
     def fault_config(self) -> Optional[Any]:
         """The FaultConfig this job injects (None when injection is off)."""

@@ -47,7 +47,6 @@ from repro.simulation.sweep import (
     WorkloadTask,
     build_workload_tasks,
     resolve_workers,
-    run_sweep,
     sweep_roadmap,
     sweep_workloads,
     sweep_workloads_resilient,
@@ -92,7 +91,6 @@ __all__ = [
     "WorkloadSweepResult",
     "build_workload_tasks",
     "resolve_workers",
-    "run_sweep",
     "sweep_roadmap",
     "sweep_workloads",
     "sweep_workloads_resilient",

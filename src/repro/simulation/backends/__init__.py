@@ -114,8 +114,9 @@ def resolve_backend(
       and the manifest must record the truth (``workers=0`` has always
       meant in-process execution).
     * ``shared-store`` — :class:`SharedStoreBackend`; requires a result
-      store plus per-task content keys and a codec, which only the
-      cached sweep paths can supply.
+      store plus per-task content keys and a codec, which
+      :func:`repro.simulation.resilience.run_kind` supplies from the
+      sweep family's :class:`~repro.simulation.resilience.SweepKind`.
 
     Raises:
         SimulationError: unknown name, or ``shared-store`` without a
@@ -131,8 +132,7 @@ def resolve_backend(
             raise SimulationError(
                 "the shared-store backend coordinates through a result "
                 "store and needs per-task content keys plus a codec; run "
-                "it through the cached sweep path (a workload sweep with "
-                "--store), not a raw/roadmap sweep"
+                "it through run_kind with the sweep family's SweepKind"
             )
         return SharedStoreBackend(
             tasks,

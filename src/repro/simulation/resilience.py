@@ -657,12 +657,14 @@ class SweepKind:
     into the family's keys by ``key``); ``worker`` computes one task in a
     pool process; ``key`` / ``encode`` / ``decode`` are the store key and
     payload codec; ``document`` builds the family's canonical results
-    document from a (possibly holey) result list; ``plan_workers``
+    document from a (possibly holey) result list (None for the roadmap,
+    which writes none); ``plan_workers``
     optionally adjusts the worker count for a task list (the workload
     family runs all-analytic sweeps in-process).
 
     Families build their record *when a run starts* (see
-    :func:`repro.simulation.sweep.workload_sweep_kind` and
+    :func:`repro.simulation.sweep.workload_sweep_kind`,
+    :func:`repro.simulation.sweep.roadmap_sweep_kind` and
     :func:`repro.fleet.sweep.fleet_sweep_kind`), so rebinding one of the
     module-level functions — tracing, tests — takes effect on the next
     run.
@@ -673,7 +675,7 @@ class SweepKind:
     key: Callable[[Any], str]
     encode: Callable[[Any], Any]
     decode: Callable[[Any], Any]
-    document: Callable[[Sequence[Any]], Dict[str, Any]]
+    document: Optional[Callable[[Sequence[Any]], Dict[str, Any]]] = None
     plan_workers: Optional[
         Callable[[Sequence[Any], Optional[int]], Optional[int]]
     ] = None

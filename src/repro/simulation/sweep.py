@@ -1,28 +1,27 @@
-"""Parallel sweep runner for roadmap and workload experiments.
+"""Sweep families for the paper's roadmap and workload experiments.
 
 The paper's headline experiments are embarrassingly parallel sweeps:
 Figure 2 evaluates the thermally constrained roadmap for three platter
-counts over eleven years, and Figure 4 replays five trace-driven workloads
-at four spindle speeds each.  This module fans those configurations out
-over a :class:`concurrent.futures.ProcessPoolExecutor` while guaranteeing
-that the results are *byte-identical* to the serial path:
+counts over eleven years, and Figure 4 replays five trace-driven
+workloads at four spindle speeds each.  This module defines both as
+sweep families (``*_sweep_kind()``) for
+:func:`repro.simulation.resilience.run_kind`, the one runner behind every
+backend, the result store, retries and manifests:
 
-* **Pure tasks.** Each sweep point is described by a small frozen
-  dataclass holding every input (including the RNG seed for synthetic
-  traces); the worker rebuilds its world from that description alone, so
+* **Pure tasks.** Each sweep point is a small frozen dataclass holding
+  every input (including the RNG seed for synthetic traces); the
+  module-level worker rebuilds its world from that description alone, so
   no mutable state crosses process boundaries.
-* **Deterministic seeding.** Trace generation derives from the explicit
-  ``seed`` carried by the task — never from global RNG state — so a point
-  computes the same trace in any process, in any order.
-* **Deterministic ordering.** Tasks are dispatched with
-  ``executor.map``, which yields results in task order regardless of
-  completion order; the serial path iterates the identical task list with
-  the identical worker function.
-
-Adding a sweep axis is mechanical: add a field to the task dataclass (or a
-new task type), include it in the task list built by the ``sweep_*``
-front-end, and consume it in the module-level worker function (workers
-must stay module-level so they pickle under any start method).
+* **Derived keys and codecs.** A task's key is the
+  :func:`repro.store.material` form of its dataclass (fields listed by
+  ``immaterial_fields()`` fold to None) and a result's payload its
+  :func:`repro.store.record_payload` form, so a new field needs no codec
+  edit; a change to what a result *means* still bumps
+  ``CODE_SCHEMA_VERSION``.
+* **Byte-identity.** Every backend returns results in task order and a
+  cached result decodes equal to a computed one, so
+  :func:`results_json_bytes` agrees across backends and cold, warm and
+  resumed runs.
 """
 
 from __future__ import annotations
@@ -31,14 +30,11 @@ import os
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Dict,
     List,
     Optional,
     Sequence,
     Tuple,
-    TypeVar,
-    Union,
 )
 
 from repro.constants import (
@@ -52,19 +48,9 @@ from repro.faults import FaultConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.scaling.roadmap import RoadmapPoint
-    from repro.simulation.backends import ExecutionBackend
-    from repro.simulation.resilience import SweepKind, SweepRunReport
+    from repro.simulation.resilience import BackendSpec, SweepKind, SweepRunReport
     from repro.store import ResultStore
     from repro.telemetry import Telemetry
-
-TaskT = TypeVar("TaskT")
-ResultT = TypeVar("ResultT")
-
-#: Backend spec accepted by every sweep front-end: a backend name
-#: (``serial`` / ``process`` / ``shared-store``), a constructed
-#: :class:`repro.simulation.backends.ExecutionBackend`, or None (resolve
-#: from ``REPRO_SWEEP_BACKEND``, default ``process``).
-BackendSpec = Optional[Union[str, "ExecutionBackend"]]
 
 #: Default span of the Figure 2 roadmap sweep.
 ROADMAP_YEARS: Tuple[int, ...] = tuple(range(ROADMAP_FIRST_YEAR, ROADMAP_LAST_YEAR + 1))
@@ -83,32 +69,6 @@ def resolve_workers(workers: Optional[int], task_count: int) -> int:
     if workers < 0:
         raise SimulationError(f"worker count cannot be negative, got {workers}")
     return max(1, min(workers, task_count))
-
-
-def run_sweep(
-    tasks: Sequence[TaskT],
-    worker: Callable[[TaskT], ResultT],
-    workers: Optional[int] = None,
-    backend: BackendSpec = None,
-) -> List[ResultT]:
-    """Run ``worker`` over every task, on whichever execution backend.
-
-    Results are returned in task order on every backend; with a pure
-    worker function the backends are indistinguishable output-wise (the
-    differential suite asserts byte-identity).
-
-    This is the *strict* front-end: the first task failure raises a
-    :class:`repro.errors.SweepExecutionError` carrying the worker-side
-    traceback.  For per-task outcomes, retries, timeouts and partial
-    results, use :func:`repro.simulation.resilience.run_sweep_resilient`.
-    """
-    from repro.simulation.resilience import run_sweep_resilient
-
-    report = run_sweep_resilient(
-        tasks, worker, workers=workers, retries=0, backend=backend
-    )
-    report.raise_on_failure()
-    return report.ok_results()
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +99,46 @@ def _run_roadmap_task(task: RoadmapTask) -> List["RoadmapPoint"]:
     )
 
 
+#: Task-family tag salted into every roadmap key.
+ROADMAP_TASK_KIND = "roadmap_sweep/1"
+
+
+def roadmap_task_key(task: RoadmapTask) -> str:
+    """The canonical content key of one roadmap task."""
+    from repro.store import config_key, material
+
+    return config_key(ROADMAP_TASK_KIND, material(task))
+
+
+def roadmap_points_to_payload(points: Sequence["RoadmapPoint"]) -> List[object]:
+    """Serialize one task's roadmap points into an exact payload."""
+    from repro.store import record_payload
+
+    return [record_payload(point) for point in points]
+
+
+def roadmap_points_from_payload(payload: Sequence[Dict[str, object]]) -> List["RoadmapPoint"]:
+    """Rebuild one task's roadmap points from their payload."""
+    from repro.scaling.roadmap import RoadmapPoint
+    from repro.store import record_from_payload
+
+    return [record_from_payload(RoadmapPoint, point) for point in payload]
+
+
+def roadmap_sweep_kind() -> "SweepKind":
+    """The Figure 2 family's :class:`SweepKind` (see
+    :func:`workload_sweep_kind` for the call-time lookup)."""
+    from repro.simulation.resilience import SweepKind
+
+    return SweepKind(
+        name=ROADMAP_TASK_KIND,
+        worker=_run_roadmap_task,
+        key=roadmap_task_key,
+        encode=roadmap_points_to_payload,
+        decode=roadmap_points_from_payload,
+    )
+
+
 def sweep_roadmap(
     platter_counts: Sequence[int] = ROADMAP_PLATTER_COUNTS,
     years: Sequence[int] = ROADMAP_YEARS,
@@ -148,19 +148,24 @@ def sweep_roadmap(
 ) -> Dict[int, List["RoadmapPoint"]]:
     """Fan the Figure 2 roadmap out over platter counts.
 
-    Roadmap tasks have no content-key codec, so the ``shared-store``
-    backend cannot run them; ``serial`` and ``process`` both apply.
+    Runs through :func:`repro.simulation.resilience.run_kind` like every
+    other sweep, so all three backends apply (``shared-store``
+    materializes the default store) and the first failing task raises a
+    :class:`repro.errors.SweepExecutionError`.
 
     Returns:
         {platter_count: [RoadmapPoint, ...]} with points ordered exactly as
         :func:`repro.scaling.thermal_roadmap` orders them (year-major).
     """
+    from repro.simulation.resilience import run_kind
+
     tasks = [
         RoadmapTask(platter_count=count, years=tuple(years), sizes=tuple(sizes))
         for count in platter_counts
     ]
-    results = run_sweep(tasks, _run_roadmap_task, workers=workers, backend=backend)
-    return {task.platter_count: points for task, points in zip(tasks, results)}
+    report = run_kind(roadmap_sweep_kind(), tasks, workers=workers, backend=backend)
+    report.raise_on_failure()
+    return {task.platter_count: points for task, points in zip(tasks, report.ok_results())}
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +207,11 @@ class WorkloadTask:
         if self.engine != "exact":
             base += f"[{self.engine}]"
         return base
+
+    def immaterial_fields(self) -> Tuple[str, ...]:
+        """Fields that shape nothing here: the telemetry shape knobs when
+        the replay is not instrumented (folded to None in the key)."""
+        return () if self.telemetry else ("probe_interval_ms", "trace_capacity")
 
 
 @dataclass(frozen=True)
@@ -285,12 +295,6 @@ def _run_workload_task(task: WorkloadTask) -> WorkloadSweepResult:
 
 # ---------------------------------------------------------------------------
 # Result-store integration: task keys and the result codec
-#
-# These live next to the dataclasses they serialize so a field added to
-# WorkloadTask/WorkloadSweepResult is immediately visible here — forgetting
-# to fold it into the key or the codec is a correctness bug (stale hits),
-# which is why the key covers *every* material field and the code-schema
-# salt exists for everything else.
 # ---------------------------------------------------------------------------
 
 #: Task-family tag salted into every workload-sweep key.  Bump the suffix
@@ -305,105 +309,24 @@ RESULTS_SCHEMA = "repro.sweep_results/2"
 
 
 def workload_task_key(task: WorkloadTask) -> str:
-    """The canonical content key of one workload sweep point.
+    """The canonical content key of one workload sweep point."""
+    from repro.store import config_key, material
 
-    Immaterial knobs are normalized out: ``probe_interval_ms`` and
-    ``trace_capacity`` shape only the telemetry snapshot, so with
-    ``telemetry=False`` they are folded to None — asking for the same
-    replay with a different (unused) probe interval is the same task.
-    """
-    import dataclasses
-
-    from repro.store import config_key
-
-    fault = (
-        dataclasses.asdict(task.fault_config)
-        if task.fault_config is not None
-        else None
-    )
-    config = {
-        "workload": task.workload,
-        "rpm": task.rpm,
-        "requests": task.requests,
-        "seed": task.seed,
-        "keep_samples": task.keep_samples,
-        "telemetry": task.telemetry,
-        "probe_interval_ms": task.probe_interval_ms if task.telemetry else None,
-        "trace_capacity": task.trace_capacity if task.telemetry else None,
-        "fault_config": fault,
-        "engine": task.engine,
-    }
-    return config_key(WORKLOAD_TASK_KIND, config)
+    return config_key(WORKLOAD_TASK_KIND, material(task, task.immaterial_fields()))
 
 
 def workload_result_to_payload(result: WorkloadSweepResult) -> Dict[str, object]:
     """Serialize one result into an exact, strict-JSON-safe payload."""
-    from repro.store import encode_payload
+    from repro.store import record_payload
 
-    return {
-        "workload": result.workload,
-        "rpm": result.rpm,
-        "requests": result.requests,
-        "seed": result.seed,
-        "mean_ms": result.mean_ms,
-        "median_ms": result.median_ms,
-        "p95_ms": result.p95_ms,
-        "max_ms": result.max_ms,
-        "simulated_ms": result.simulated_ms,
-        "max_utilization": result.max_utilization,
-        "cache_hit_ratio": result.cache_hit_ratio,
-        "cdf": [[x, y] for x, y in result.cdf],
-        "samples_ms": list(result.samples_ms),
-        "telemetry": (
-            encode_payload(result.telemetry)
-            if result.telemetry is not None
-            else None
-        ),
-        "fault_summary": (
-            encode_payload(result.fault_summary)
-            if result.fault_summary is not None
-            else None
-        ),
-        "engine": result.engine,
-    }
+    return record_payload(result)
 
 
 def workload_result_from_payload(payload: Dict[str, object]) -> WorkloadSweepResult:
-    """Reconstruct a result indistinguishable from a freshly computed one.
+    """Reconstruct a result indistinguishable from a freshly computed one."""
+    from repro.store import record_from_payload
 
-    JSON flattens tuples to lists; the tuple-typed fields are rebuilt
-    here so cached results compare (and serialize) identically to
-    computed ones — the property the differential suite pins down.
-    Numeric values pass through *uncoerced*: JSON preserves int-vs-float
-    exactly, and coercing (a CDF bucket edge of ``5`` into ``5.0``) would
-    break byte-identity between cached and computed output.
-    """
-    from repro.store import decode_payload
-
-    telemetry = payload["telemetry"]
-    fault_summary = payload["fault_summary"]
-    return WorkloadSweepResult(
-        workload=payload["workload"],  # type: ignore[arg-type]
-        rpm=payload["rpm"],  # type: ignore[arg-type]
-        requests=payload["requests"],  # type: ignore[arg-type]
-        seed=payload["seed"],  # type: ignore[arg-type]
-        mean_ms=payload["mean_ms"],  # type: ignore[arg-type]
-        median_ms=payload["median_ms"],  # type: ignore[arg-type]
-        p95_ms=payload["p95_ms"],  # type: ignore[arg-type]
-        max_ms=payload["max_ms"],  # type: ignore[arg-type]
-        simulated_ms=payload["simulated_ms"],  # type: ignore[arg-type]
-        max_utilization=payload["max_utilization"],  # type: ignore[arg-type]
-        cache_hit_ratio=payload["cache_hit_ratio"],  # type: ignore[arg-type]
-        cdf=tuple(
-            (x, y) for x, y in payload["cdf"]  # type: ignore[union-attr]
-        ),
-        samples_ms=tuple(payload["samples_ms"]),  # type: ignore[arg-type]
-        telemetry=decode_payload(telemetry) if telemetry is not None else None,
-        fault_summary=(
-            decode_payload(fault_summary) if fault_summary is not None else None
-        ),
-        engine=payload["engine"],  # type: ignore[arg-type]
-    )
+    return record_from_payload(WorkloadSweepResult, payload)
 
 
 def results_document(
@@ -610,7 +533,7 @@ def sweep_workloads_resilient(
 
     Args:
         retries / backoff_s / timeout_s: resilience knobs, see
-            :func:`repro.simulation.resilience.run_sweep_resilient`.
+            :func:`repro.simulation.resilience.run_kind`.
         run_telemetry: optional *parent-side* telemetry; receives the
             ``sweep.*`` retry/timeout/pool-break counters (distinct from
             ``telemetry=``, which instruments each replay inside its

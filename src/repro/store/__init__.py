@@ -13,8 +13,9 @@ The two halves are deliberately separate: canonicalization is pure and
 property-tested (key discipline), storage is all mechanics (atomic
 writes, integrity verification, quarantine, LRU GC).  Wiring into the
 sweep executor lives in :mod:`repro.simulation.resilience`
-(``run_sweep_cached``); the task key and result codec for workload sweeps
-live next to their dataclasses in :mod:`repro.simulation.sweep`.
+(``run_kind``); every sweep family's task key and result codec derive
+from its dataclasses through the record codec in
+:mod:`repro.store.canonical`.
 
 See ``docs/result_store.md`` for the key schema, invalidation rules, GC
 policy and resume semantics.
@@ -30,7 +31,10 @@ from repro.store.canonical import (
     config_key,
     decode_payload,
     encode_payload,
+    material,
     payload_digest,
+    record_from_payload,
+    record_payload,
     stable_json,
 )
 from repro.store.store import (
@@ -51,6 +55,9 @@ __all__ = [
     "payload_digest",
     "encode_payload",
     "decode_payload",
+    "record_payload",
+    "record_from_payload",
+    "material",
     "ResultStore",
     "StoreStats",
     "VerifyReport",

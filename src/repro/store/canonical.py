@@ -16,17 +16,35 @@ mechanics so it can be property-tested exhaustively:
 * :func:`config_key` — the BLAKE2b content address of a
   ``(kind, config)`` pair, salted with the store format version and a
   code-schema version so refactors that change result *meaning* can
-  invalidate every stale entry with a one-line bump.
+  invalidate every stale entry with a one-line bump;
+* :func:`record_payload` / :func:`record_from_payload` — the one codec
+  between frozen task/result dataclasses and exact JSON-safe payloads,
+  driven by the dataclass fields, and :func:`material`, the key config
+  of a task record.
 
 Everything here is pure and stdlib-only; no filesystem, no clock.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
-from typing import Any, Mapping, Union
+import typing
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+    Type,
+    TypeVar,
+    Union,
+)
 
 from repro.errors import StoreError
 
@@ -40,6 +58,9 @@ __all__ = [
     "payload_digest",
     "encode_payload",
     "decode_payload",
+    "record_payload",
+    "record_from_payload",
+    "material",
 ]
 
 #: Version of the on-disk store format itself (envelope layout, digest
@@ -232,3 +253,124 @@ def decode_payload(value: Any) -> Any:
     if isinstance(value, list):
         return [decode_payload(item) for item in value]
     return value
+
+
+# ---------------------------------------------------------------------------
+# Record codec: dataclasses <-> payloads, derived from their fields
+# ---------------------------------------------------------------------------
+
+RecordT = TypeVar("RecordT")
+
+#: One direction of a field codec; None passes the value through.
+_Convert = Optional[Callable[[Any], Any]]
+
+
+def _each(convert: Callable[[Any], Any], build: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    return lambda value: build([convert(item) for item in value])
+
+
+def _none_safe(convert: _Convert) -> _Convert:
+    if convert is None:
+        return None
+    return lambda value: None if value is None else convert(value)
+
+
+def _field_codec(hint: Any) -> Tuple[_Convert, _Convert]:
+    """(encode, decode) for one field type.
+
+    Scalars pass through *uncoerced*: JSON keeps int vs float, and
+    folding a CDF edge of ``5`` into ``5.0`` would break byte-identity
+    between cached and computed results.  ``Tuple[...]`` travels as a
+    list, nested dataclasses recurse, and ``dict`` fields take the
+    tagged-float payload codec.
+    """
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if hint in (bool, int, float, str):
+        return None, None
+    if hint is dict or origin is dict:
+        return encode_payload, decode_payload
+    if dataclasses.is_dataclass(hint) and isinstance(hint, type):
+        plan = _plan(hint)
+        return plan.encode, plan.decode
+    if origin is Union and len(args) == 2 and args[1] is type(None):
+        encode, decode = _field_codec(args[0])
+        return _none_safe(encode), _none_safe(decode)
+    if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
+        encode, decode = _field_codec(args[0])
+        return (
+            list if encode is None else _each(encode, list),
+            tuple if decode is None else _each(decode, tuple),
+        )
+    if origin is tuple and all(_field_codec(arg) == (None, None) for arg in args):
+        return list, tuple
+    raise StoreError(f"no record codec for the field type {hint!r}")
+
+
+class _Plan:
+    """One dataclass's encoder and decoder, generated from its fields.
+
+    Like :mod:`dataclasses` does for ``__init__``, the two functions are
+    written out as source once per class — a dict display and a keyword
+    call, with a converter only on the fields that need one — because a
+    generic per-field loop runs several times slower, and a fleet sweep
+    encodes one record per drive.  Field names are identifiers, so the
+    generated source cannot be anything but attribute and key access.
+    """
+
+    def __init__(self, cls: type) -> None:
+        hints = typing.get_type_hints(cls)
+        scope: Dict[str, Any] = {"cls": cls}
+        encoded: List[str] = []
+        decoded: List[str] = []
+        for index, f in enumerate(dataclasses.fields(cls)):
+            encode, decode = _field_codec(hints[f.name])
+            scope[f"e{index}"], scope[f"d{index}"] = encode, decode
+            value = f"r.{f.name}" if encode is None else f"e{index}(r.{f.name})"
+            item = f"p[{f.name!r}]" if decode is None else f"d{index}(p[{f.name!r}])"
+            encoded.append(f"{f.name!r}: {value}")
+            decoded.append(f"{f.name}={item}")
+        exec(
+            f"def encode(r): return {{{', '.join(encoded)}}}\n"
+            f"def decode(p): return cls({', '.join(decoded)})\n",
+            scope,
+        )
+        self.encode: Callable[[Any], Dict[str, Any]] = scope["encode"]
+        self.decode: Callable[[Mapping[str, Any]], Any] = scope["decode"]
+
+
+#: Per-class plans: walking the type hints costs far more than encoding
+#: a record, so each class is planned once per process.
+_PLANS: Dict[type, _Plan] = {}
+
+
+def _plan(cls: type) -> _Plan:
+    # A pure function of the class: every process builds the identical
+    # plan, so copies cannot diverge observably.
+    # thermolint: disable=TL012
+    plan = _PLANS.get(cls)
+    if plan is None:
+        plan = _Plan(cls)
+        # thermolint: disable=TL012
+        _PLANS[cls] = plan
+    return plan
+
+
+def record_payload(record: Any) -> Dict[str, Any]:
+    """Encode a dataclass as an exact strict-JSON payload: every field,
+    by name, in field order (a new field needs no codec edit)."""
+    return _plan(type(record)).encode(record)
+
+
+def record_from_payload(cls: Type[RecordT], payload: Mapping[str, Any]) -> RecordT:
+    """Rebuild a ``cls`` record equal to the encoded one; a payload
+    missing a field raises ``KeyError`` (a stale entry is rejected)."""
+    return _plan(cls).decode(payload)
+
+
+def material(record: Any, immaterial: Iterable[str] = ()) -> Dict[str, Any]:
+    """A task record's key config: its payload with every ``immaterial``
+    field (its feature is off, it shapes nothing) folded to None."""
+    config = record_payload(record)
+    for name in immaterial:
+        config[name] = None
+    return config

@@ -43,6 +43,7 @@ from repro.store.canonical import (
     KEY_HEX_LENGTH,
     STORE_SCHEMA,
     payload_digest,
+    record_payload,
     stable_json,
 )
 from repro.units import MIB
@@ -97,13 +98,7 @@ class StoreStats:
     quarantined: int
 
     def as_dict(self) -> Dict[str, Any]:
-        return {
-            "root": self.root,
-            "entries": self.entries,
-            "total_bytes": self.total_bytes,
-            "max_bytes": self.max_bytes,
-            "quarantined": self.quarantined,
-        }
+        return record_payload(self)
 
 
 @dataclass

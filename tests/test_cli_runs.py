@@ -138,3 +138,21 @@ def test_retries_and_task_timeout_always_reach_the_runner(
     )
     assert code == 0
     assert (seen["retries"], seen["timeout_s"]) == (3, 30.0)
+
+
+def test_roadmap_sweep_on_shared_store_prints_the_serial_table(
+    tmp_path, capsys, monkeypatch
+):
+    # The roadmap is a sweep family like the others: shared-store runs
+    # through the default store, cold and then warm, and prints exactly
+    # what the serial backend prints.
+    monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "store"))
+    argv = ["sweep", "roadmap", "-p", "1,2", "-w", "2", "--backend"]
+    code, serial, _ = _run(capsys, argv + ["serial"])
+    assert code == 0
+    assert "2-platter roadmap:" in serial
+    for _ in range(2):
+        code, out, _ = _run(capsys, argv + ["shared-store"])
+        assert code == 0
+        assert out == serial
+    assert list((tmp_path / "store").rglob("*.json"))

@@ -174,18 +174,21 @@ class TestParallelPath:
 
 
 class TestStrictFrontEnd:
-    def test_run_sweep_raises_typed_error_with_traceback(self):
-        from repro.simulation.sweep import run_sweep
+    """``raise_on_failure`` is how strict callers of the runner fail."""
 
+    def test_run_sweep_raises_typed_error_with_traceback(self):
+        report = run_sweep_resilient(
+            [1, -1], _raise_if_negative, workers=1, retries=0
+        )
         with pytest.raises(SweepExecutionError) as excinfo:
-            run_sweep([1, -1], _raise_if_negative, workers=1)
+            report.raise_on_failure()
         assert "ValueError" in str(excinfo.value)
         assert "injected failure" in excinfo.value.traceback_text
 
     def test_run_sweep_unchanged_on_success(self):
-        from repro.simulation.sweep import run_sweep
-
-        assert run_sweep([2, 3], _square, workers=1) == [4, 9]
+        report = run_sweep_resilient([2, 3], _square, workers=1, retries=0)
+        report.raise_on_failure()
+        assert report.ok_results() == [4, 9]
 
 
 class TestManifest:

@@ -406,3 +406,96 @@ class TestHTTP:
 
             status, _ = service.request("POST", "/v1/jobs", None)
             assert status == 400  # empty body is not valid JSON
+
+
+def _fuzz_cases(seed=0x5EED, per_family=12):
+    """(label, raw request bytes, expectation) for hostile requests.
+
+    ``"4xx"`` accepts any client error; ``"400"`` and ``"length"`` demand
+    the parser's own 400 (``length``: a plain Content-Length message,
+    never Python's ``int()`` text).  A closed connection with no reply
+    is always acceptable.
+    """
+    import random
+
+    from repro.service.app import MAX_HEADER_LINES
+
+    rng = random.Random(seed)
+    junk = bytes(range(32, 127)) + b"\t\x00\x7f\xb2\xff"
+    cases = [("empty line", b"\r\n", "4xx")]
+    for index in range(per_family):
+        tokens = [
+            bytes(rng.choice(junk) for _ in range(rng.randrange(1, 12)))
+            for _ in range(rng.choice((1, 2, 4, 5)))
+        ]
+        cases.append((f"request line {index}", b" ".join(tokens) + b"\r\n", "4xx"))
+    for index in range(per_family):
+        lines = rng.randrange(MAX_HEADER_LINES + 1, 3 * MAX_HEADER_LINES)
+        headers = b"".join(b"X-Flood-%d: %d\r\n" % (n, rng.randrange(10**6))
+                           for n in range(lines))
+        cases.append((f"header flood {index}",
+                      b"GET /healthz HTTP/1.1\r\n" + headers + b"\r\n", "400"))
+    lengths = [b"-1", b"-4096", b"abc", b"1e3", b"0x10", b"+5", b"5 5",
+               b"\xb2", b"\xd9\xa3", b"12.0"]
+    for _ in range(per_family - len(lengths)):
+        lengths.append(b"-%d" % rng.randrange(1, 10**9))
+    for index, value in enumerate(lengths):
+        cases.append((f"length {index} {value!r}",
+                      b"POST /v1/jobs HTTP/1.1\r\nContent-Length: " + value
+                      + b"\r\n\r\n{}", "length"))
+    cases.append(("length too large",
+                  b"POST /v1/jobs HTTP/1.1\r\nContent-Length: " + b"9" * 30
+                  + b"\r\n\r\n", "400"))
+    cases.append(("short body", b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 50"
+                  b"\r\n\r\n{}", "4xx"))
+    return cases
+
+
+async def _exchange(port, raw):
+    """Send ``raw``, half-close, read the reply (b"" if the peer closed)."""
+    import asyncio
+
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    try:
+        writer.write(raw)
+        await writer.drain()
+        writer.write_eof()
+        return await reader.read()
+    except ConnectionError:
+        return b""
+    finally:
+        writer.close()
+
+
+class TestRequestParserFuzz:
+    def test_hostile_requests_get_a_4xx_or_a_close_never_a_500(self, tmp_path):
+        import asyncio
+
+        async def run_all(port):
+            outcomes = []
+            for label, raw, expect in _fuzz_cases():
+                reply = await asyncio.wait_for(_exchange(port, raw), timeout=10.0)
+                outcomes.append((label, expect, reply))
+            return outcomes
+
+        with _Service(tmp_path) as service:
+            outcomes = asyncio.run(run_all(service.app.port))
+            # The server survived every case and still answers.
+            status, health = service.json("GET", "/healthz")
+            assert (status, health["status"]) == (200, "ok")
+
+        answered = 0
+        for label, expect, reply in outcomes:
+            if not reply:
+                continue  # a closed connection is an acceptable answer
+            answered += 1
+            head, _, body = reply.partition(b"\r\n\r\n")
+            status = int(head.split(b" ", 2)[1])
+            assert 400 <= status < 500, (label, reply[:200])
+            if expect in ("400", "length"):
+                assert status == 400, (label, reply[:200])
+            if expect == "length":
+                assert json.loads(body)["error"] == (
+                    "Content-Length must be a non-negative integer"
+                ), label
+        assert answered >= len(outcomes) // 2

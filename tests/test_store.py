@@ -8,8 +8,12 @@ a crashed sweep.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import os
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import pytest
 
@@ -19,6 +23,7 @@ from repro.simulation.sweep import (
     WORKLOAD_TASK_KIND,
     _run_workload_task,
     build_workload_tasks,
+    results_json_bytes,
     workload_result_from_payload,
     workload_result_to_payload,
     workload_task_key,
@@ -27,7 +32,11 @@ from repro.store import (
     ResultStore,
     config_key,
     default_store_root,
+    material,
     payload_digest,
+    record_from_payload,
+    record_payload,
+    stable_json,
 )
 from repro.telemetry import Telemetry
 
@@ -291,3 +300,140 @@ class TestClaimRelease:
     def test_claim_mtime_none_when_unclaimed(self, tmp_path):
         store = ResultStore(root=tmp_path)
         assert store.claim_mtime(_key()) is None
+
+
+# ---------------------------------------------------------------------------
+# The record codec: payloads and keys derived from dataclass fields
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Leaf:
+    name: str
+    weight: float
+
+
+@dataclass(frozen=True)
+class _Record:
+    count: int
+    ratio: float
+    flag: bool = False
+    edges: Tuple[Tuple[float, int], ...] = ()
+    samples: Tuple[float, ...] = ()
+    leaf: Optional[_Leaf] = None
+    leaves: Tuple[_Leaf, ...] = ()
+    extras: Optional[dict] = None
+
+
+@dataclass(frozen=True)
+class _RecordV2(_Record):
+    added: str = "new"
+
+
+def _json_round_trip(record):
+    """Encode, serialize strictly, parse and decode — what a store does."""
+    text = stable_json(record_payload(record))
+    return record_from_payload(type(record), json.loads(text))
+
+
+class TestRecordCodec:
+    @pytest.mark.parametrize(
+        "record",
+        [
+            _Record(count=3, ratio=2),  # an int in a float field stays int
+            _Record(count=3, ratio=2.0, flag=True),
+            _Record(
+                count=0,
+                ratio=0.5,
+                edges=((5, 1), (7.5, 2)),
+                samples=(1.0, 2, 3.25),
+            ),
+            _Record(
+                count=1,
+                ratio=1.5,
+                leaf=_Leaf("a", 1),
+                leaves=(_Leaf("b", 2.0), _Leaf("c", 3.5)),
+            ),
+            _Record(
+                count=2,
+                ratio=-1.0,
+                extras={"min": math.inf, "max": -math.inf, "runs": [1, 2.0]},
+            ),
+            _RecordV2(count=4, ratio=4.5, leaf=_Leaf("d", 0.0), added="x"),
+        ],
+    )
+    def test_round_trip_is_exact(self, record):
+        decoded = _json_round_trip(record)
+        assert decoded == record
+        assert type(decoded) is type(record)
+        for f in dataclasses.fields(record):
+            assert type(getattr(decoded, f.name)) is type(getattr(record, f.name))
+        assert isinstance(decoded.edges, tuple)
+        assert all(type(edge) is tuple for edge in decoded.edges)
+        assert all(type(leaf) is _Leaf for leaf in decoded.leaves)
+        assert stable_json(record_payload(decoded)) == stable_json(
+            record_payload(record)
+        )
+
+    def test_ints_and_floats_stay_distinct(self):
+        assert type(_json_round_trip(_Record(count=1, ratio=2)).ratio) is int
+        assert type(_json_round_trip(_Record(count=1, ratio=2.0)).ratio) is float
+
+    def test_nonfinite_floats_ride_inside_dict_fields(self):
+        record = _Record(count=1, ratio=1.0, extras={"x": [math.nan, math.inf]})
+        json.dumps(record_payload(record), allow_nan=False)  # strict-JSON safe
+        nan, inf = _json_round_trip(record).extras["x"]
+        assert math.isnan(nan) and inf == math.inf
+
+    def test_added_field_round_trips_without_codec_edits(self):
+        payload = record_payload(_RecordV2(count=1, ratio=1.0))
+        assert set(payload) == {f.name for f in dataclasses.fields(_RecordV2)}
+        assert payload["added"] == "new"
+        assert _json_round_trip(_RecordV2(count=1, ratio=1.0, added="y")).added == "y"
+
+    def test_payload_missing_a_field_fails_to_decode(self):
+        payload = record_payload(_Record(count=1, ratio=1.0))
+        del payload["ratio"]
+        with pytest.raises(KeyError):
+            record_from_payload(_Record, payload)
+
+    def test_material_folds_immaterial_fields(self):
+        record = _Record(count=1, ratio=1.0, leaf=_Leaf("a", 1.0))
+        config = material(record, ("ratio",))
+        assert config["ratio"] is None
+        assert config["leaf"] == {"name": "a", "weight": 1.0}
+        assert config_key("test/1", config) == config_key(
+            "test/1", material(_Record(count=1, ratio=9.0, leaf=_Leaf("a", 1)), ("ratio",))
+        )
+
+    def test_unsupported_field_type_is_refused(self):
+        @dataclass(frozen=True)
+        class Bad:
+            items: list
+
+        with pytest.raises(StoreError):
+            record_payload(Bad(items=[]))
+
+    def test_stale_entry_is_rejected_and_recomputed(self, store):
+        tasks = build_workload_tasks(["tpcc"], rpms=[10000.0], requests=120)
+        cold = run_sweep_cached(
+            tasks, _run_workload_task, store, workload_task_key,
+            workload_result_to_payload, workload_result_from_payload,
+            kind=WORKLOAD_TASK_KIND, workers=0,
+        )
+        key = workload_task_key(tasks[0])
+        stale = workload_result_to_payload(cold.ok_results()[0])
+        del stale["engine"]  # an entry written before a field existed
+        store.put(key, stale, kind=WORKLOAD_TASK_KIND)
+
+        report = run_sweep_cached(
+            tasks, _run_workload_task, store, workload_task_key,
+            workload_result_to_payload, workload_result_from_payload,
+            kind=WORKLOAD_TASK_KIND, workers=0,
+        )
+        assert (report.store_hits, report.store_misses) == (0, 1)
+        assert store.stats().quarantined == 1  # retired via reject()
+        assert results_json_bytes(report.ok_results()) == results_json_bytes(
+            cold.ok_results()
+        )
+        assert store.get(key) == workload_result_to_payload(cold.ok_results()[0])

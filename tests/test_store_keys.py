@@ -292,6 +292,12 @@ class TestLiteralKeyPins:
         )
         assert workload_task_key(task) == "1d8efa9635761309e8b4b119268a10fa"
 
+    def test_roadmap_task_key(self):
+        from repro.simulation.sweep import RoadmapTask, roadmap_task_key
+
+        task = RoadmapTask(platter_count=2)
+        assert roadmap_task_key(task) == "1292522696dafd24bb02fdb725e0d675"
+
     def test_sweep_job_config_key(self):
         from repro.service.schemas import (
             SweepJobConfig,
@@ -358,3 +364,75 @@ class TestLiteralKeyPins:
             }
         )
         assert job_config_key(parsed) == pinned
+
+
+class TestLiteralPayloadPins:
+    """The payload bytes stores already hold, pinned by digest.
+
+    A codec refactor must reproduce every stored result byte for byte: a
+    moved payload digest means cached results no longer serialize like
+    computed ones.
+    """
+
+    def test_faulted_telemetry_workload_payload(self):
+        from repro.faults import FaultConfig
+        from repro.simulation.sweep import (
+            WorkloadTask,
+            _run_workload_task,
+            workload_result_to_payload,
+        )
+        from repro.store import payload_digest
+
+        task = WorkloadTask(
+            workload="tpcc",
+            rpm=10000.0,
+            requests=200,
+            seed=3,
+            telemetry=True,
+            probe_interval_ms=50.0,
+            trace_capacity=64,
+            fault_config=FaultConfig(seed=5, media_rate=0.05, servo_rate=0.01),
+        )
+        payload = workload_result_to_payload(_run_workload_task(task))
+        assert payload["telemetry"] is not None
+        assert payload["fault_summary"] is not None
+        assert payload_digest(payload) == "a88efc80616dc56c42d58a8f25d4a1c4"
+
+    def test_vectorized_samples_workload_payload(self):
+        from repro.simulation.sweep import (
+            WorkloadTask,
+            _run_workload_task,
+            workload_result_to_payload,
+        )
+        from repro.store import payload_digest
+
+        task = WorkloadTask(
+            workload="oltp",
+            rpm=15000.0,
+            requests=200,
+            seed=2,
+            keep_samples=True,
+            engine="vectorized",
+        )
+        payload = workload_result_to_payload(_run_workload_task(task))
+        assert payload["engine"] == "vectorized"
+        assert len(payload["samples_ms"]) == 200
+        assert payload_digest(payload) == "9bb7f9326f2b1074e6f67d125d7d3139"
+
+    def test_tiered_faulted_rack_payload(self):
+        from repro.faults import FaultConfig
+        from repro.fleet import TieringPolicy, build_rack_tasks, uniform_fleet
+        from repro.fleet.sweep import _run_rack_task, rack_result_to_payload
+        from repro.store import payload_digest
+
+        (task,) = build_rack_tasks(
+            uniform_fleet(1, 3, 2, recirculation=0.3, inlet_c=40.0),
+            tiering=TieringPolicy(extents=24, seed=9),
+            fault_config=FaultConfig(seed=4, media_rate=0.05),
+            accesses_per_drive=32,
+        )
+        payload = rack_result_to_payload(_run_rack_task(task))
+        assert payload["tiering"] is not None
+        assert payload["throttle_events"]
+        assert payload["drives"][0]["faults"] is not None
+        assert payload_digest(payload) == "318238aa1cfd0efee29e96c96b2bde05"

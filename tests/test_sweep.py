@@ -10,13 +10,13 @@ down versions of the Figure 2 and Figure 4 sweeps.
 import pytest
 
 from repro.errors import SimulationError
+from repro.simulation.resilience import run_sweep_resilient
 from repro.simulation.sweep import (
     ROADMAP_YEARS,
     RoadmapTask,
     WorkloadTask,
     _run_workload_task,
     resolve_workers,
-    run_sweep,
     sweep_roadmap,
     sweep_workloads,
 )
@@ -51,18 +51,24 @@ class TestResolveWorkers:
 
 class TestRunSweep:
     def test_empty_tasks(self):
-        assert run_sweep([], _square, workers=4) == []
+        assert _run_strict([], workers=4) == []
 
     def test_serial_order_preserved(self):
-        assert run_sweep([3, 1, 2], _square, workers=1) == [9, 1, 4]
+        assert _run_strict([3, 1, 2], workers=1) == [9, 1, 4]
 
     def test_parallel_order_preserved(self):
         tasks = list(range(20))
-        assert run_sweep(tasks, _square, workers=2) == [t * t for t in tasks]
+        assert _run_strict(tasks, workers=2) == [t * t for t in tasks]
 
 
 def _square(x):
     return x * x
+
+
+def _run_strict(tasks, workers):
+    report = run_sweep_resilient(tasks, _square, workers=workers, retries=0)
+    report.raise_on_failure()
+    return report.ok_results()
 
 
 class TestRoadmapSweep:
@@ -85,6 +91,39 @@ class TestRoadmapSweep:
         assert list(by_count) == [4, 1]
         for points in by_count.values():
             assert [p.year for p in points] == sorted(p.year for p in points)
+
+    def test_identical_on_every_backend(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "store"))
+        years = ROADMAP_YEARS[:3]
+        runs = {
+            backend: sweep_roadmap(
+                platter_counts=(1, 2), years=years, workers=2, backend=backend
+            )
+            for backend in ("serial", "process", "shared-store")
+        }
+        assert runs["serial"] == runs["process"] == runs["shared-store"]
+        # The shared-store run went through the default store: a rerun
+        # decodes every task from it, still identical.
+        again = sweep_roadmap(
+            platter_counts=(1, 2), years=years, workers=2, backend="shared-store"
+        )
+        assert again == runs["serial"]
+
+    def test_second_run_on_a_store_is_all_hits(self, tmp_path):
+        from repro.simulation.resilience import run_kind
+        from repro.simulation.sweep import roadmap_sweep_kind
+        from repro.store import ResultStore
+
+        store = ResultStore(root=tmp_path / "store")
+        tasks = [
+            RoadmapTask(platter_count=count, years=ROADMAP_YEARS[:2])
+            for count in (1, 4)
+        ]
+        cold = run_kind(roadmap_sweep_kind(), tasks, store=store, workers=0)
+        warm = run_kind(roadmap_sweep_kind(), tasks, store=store, workers=0)
+        assert cold.store_hits == 0
+        assert warm.store_hits == len(tasks)
+        assert warm.ok_results() == cold.ok_results()
 
 
 class TestWorkloadSweep:

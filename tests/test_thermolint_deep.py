@@ -862,6 +862,19 @@ class TestRealRepo:
         ):
             assert name in result.roots, name
 
+    def test_roadmap_kind_is_a_keyed_zone_root(self):
+        # The Figure 2 roadmap runs through its SweepKind like every other
+        # family, so its worker and derived key/codec are roots too.
+        result = run_deep(DeepConfig(project_root=REPO_ROOT, cache_dir=None))
+        for name in (
+            "repro.simulation.sweep._run_roadmap_task",
+            "repro.simulation.sweep.roadmap_task_key",
+            "repro.simulation.sweep.roadmap_points_to_payload",
+            "repro.simulation.sweep.roadmap_points_from_payload",
+        ):
+            assert name in result.roots, name
+        assert "repro.store.canonical.record_payload" in result.keyed_zone
+
     def test_mutation_time_time_in_rack_worker_is_caught(self, tmp_path):
         dest = _copy_repo_tree(tmp_path)
         fleet = dest / "src/repro/fleet/sweep.py"

@@ -189,8 +189,8 @@ def discover_roots(
     """The keyed-zone roots: explicit patterns + worker functions.
 
     A *worker function* is any project function passed by name to a sweep
-    executor front-end (``run_sweep`` / ``run_sweep_resilient`` /
-    ``run_sweep_cached`` — the ``worker_sink_patterns``); those functions
+    executor front-end (``run_sweep_resilient`` / ``run_sweep_cached`` /
+    a ``SweepKind`` record — the ``worker_sink_patterns``); those functions
     execute inside pool processes and produce the bytes the store keys,
     so they are roots whether or not a pattern names them.
     """

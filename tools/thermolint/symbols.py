@@ -65,7 +65,7 @@ class CallSite:
     convention: RNG constructors are safe exactly when given a seed).
     ``arg_flags`` records lambda / nested-function arguments for TL011;
     ``func_args`` records plain-name arguments that resolve to local
-    functions (worker functions handed to ``run_sweep``).
+    functions (worker functions handed to ``SweepKind``).
     ``wrapped_in_sorted`` is True when the call is directly the argument
     of a ``sorted(...)`` call (the TL009 escape hatch).
     """

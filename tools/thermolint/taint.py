@@ -56,7 +56,6 @@ DEFAULT_ROOT_PATTERNS: Tuple[str, ...] = (
 #: is the sweep-family record :func:`run_kind` executes: its worker, key
 #: and codec are named there and nowhere else.
 DEFAULT_WORKER_SINKS: Tuple[str, ...] = (
-    "*.run_sweep",
     "*.run_sweep_resilient",
     "*.run_sweep_cached",
     "*.SweepKind",
