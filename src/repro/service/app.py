@@ -2,7 +2,8 @@
 
 Stdlib only: ``asyncio.start_server`` plus a minimal HTTP/1.1 layer
 (request line, headers, ``Content-Length`` bodies; one request per
-connection, ``Connection: close``).  The event loop never computes — it
+connection, ``Connection: close``; a request not fully read within
+:data:`READ_TIMEOUT_S` closes its connection).  The event loop never computes — it
 parses, routes and serializes; every sweep runs in the manager's worker
 threads, and the loop only ever blocks on sockets and short sleeps, so
 one service instance multiplexes many tenants over one shared store.
@@ -40,6 +41,10 @@ __all__ = ["ServiceApp", "run_service"]
 
 #: Most header lines one request may carry; a flood past it is a 400.
 MAX_HEADER_LINES = 100
+
+#: Seconds a client gets to deliver one whole request (line, headers and
+#: body); a connection that stalls past it is closed without a reply.
+READ_TIMEOUT_S = 30.0
 
 _STATUS_TEXT = {
     200: "OK",
@@ -158,7 +163,11 @@ class ServiceApp:
     ) -> None:
         try:
             try:
-                request = await self._read_request(reader)
+                request = await asyncio.wait_for(
+                    self._read_request(reader), READ_TIMEOUT_S
+                )
+            except asyncio.TimeoutError:
+                return  # stalled client: the finally below closes it
             except ValueError as exc:
                 await self._write_response(
                     writer, error_response(str(exc), status=400)

@@ -8,7 +8,6 @@ with its final phase.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import SimulationError
@@ -20,16 +19,16 @@ from repro.simulation.request import Request
 LogicalCompletion = Callable[[Request, float], None]
 
 
-@dataclass
 class _InFlight:
     """Book-keeping for one logical request being executed."""
 
-    logical: Request
-    plan: AccessPlan
-    phase_index: int = 0
-    outstanding: int = 0
-    children_issued: int = 0
-    child_ids: Dict[int, int] = field(default_factory=dict)
+    __slots__ = ("logical", "plan", "phase_index", "outstanding")
+
+    def __init__(self, logical: Request, plan: AccessPlan) -> None:
+        self.logical = logical
+        self.plan = plan
+        self.phase_index = 0
+        self.outstanding = 0
 
 
 class StorageArray:
@@ -89,17 +88,19 @@ class StorageArray:
         flight.outstanding = len(phase)
         if flight.outstanding == 0:  # pragma: no cover - defensive
             raise SimulationError("empty phase in access plan")
+        now = self.events.now_ms
+        logical = flight.logical
+        disks = self.disks
         for child in phase:
-            child_request = Request(
-                arrival_ms=self.events.now_ms,
-                lba=child.lba,
-                sectors=child.sectors,
-                is_write=child.is_write,
-                parent=flight.logical,
+            disks[child.disk].submit(
+                Request(
+                    arrival_ms=now,
+                    lba=child.lba,
+                    sectors=child.sectors,
+                    is_write=child.is_write,
+                    parent=logical,
+                )
             )
-            flight.child_ids[child_request.request_id] = flight.phase_index
-            flight.children_issued += 1
-            self.disks[child.disk].submit(child_request)
 
     def _child_completed(self, child: Request, now: float) -> None:
         if child.parent is None:

@@ -28,6 +28,9 @@ from repro.units import BYTES_PER_SECTOR, MIB
 if TYPE_CHECKING:  # pragma: no cover - cycle broken at runtime
     from repro.telemetry import Telemetry
 
+#: bisection sentinel sorting after every segment id at one start LBA.
+_INF = float("inf")
+
 
 @dataclass
 class CacheStats:
@@ -131,21 +134,20 @@ class DiskCache:
         if self._max_length is None:
             self._max_length = max(length for _, length in self._segments.values())
         end = lba + sectors
+        index = self._index
+        segments = self._segments
+        stamps = self._use_stamps
         best_id: Optional[int] = None
-        position = bisect.bisect_right(self._index, (lba, float("inf")))
+        position = bisect.bisect_right(index, (lba, _INF))
         floor = lba - self._max_length
         for k in range(position - 1, -1, -1):
-            start, seg_id = self._index[k]
+            start, seg_id = index[k]
             if start <= floor:
                 break
-            length = self._segments[seg_id][1]
-            if start <= lba and end <= start + length:
-                if best_id is None or self._lru_rank(seg_id) < self._lru_rank(best_id):
+            if start <= lba and end <= start + segments[seg_id][1]:
+                if best_id is None or stamps[seg_id] < stamps[best_id]:
                     best_id = seg_id
         return best_id
-
-    def _lru_rank(self, seg_id: int) -> int:
-        return self._use_stamps[seg_id]
 
     def contains(self, lba: int, sectors: int) -> bool:
         """Whether [lba, lba+sectors) lies entirely inside one segment."""
@@ -158,7 +160,8 @@ class DiskCache:
         seg_id = self._containing_segment(lba, sectors)
         if seg_id is not None:
             self._segments.move_to_end(seg_id)
-            self._use_stamps[seg_id] = self._next_stamp()
+            self._stamp_counter += 1
+            self._use_stamps[seg_id] = self._stamp_counter
             self.stats.read_hits += 1
             if self._tel is not None:
                 self._tel.count(f"{self._subject}.cache_hits")
@@ -233,10 +236,6 @@ class DiskCache:
 
     # -- internals -----------------------------------------------------------------
 
-    def _next_stamp(self) -> int:
-        self._stamp_counter += 1
-        return self._stamp_counter
-
     def _evict(self, seg_id: int) -> None:
         start, length = self._segments.pop(seg_id)
         self._index.remove((start, seg_id))
@@ -259,7 +258,8 @@ class DiskCache:
         self._next_id += 1
         self._segments[seg_id] = (start, length)
         bisect.insort(self._index, (start, seg_id))
-        self._use_stamps[seg_id] = self._next_stamp()
+        self._stamp_counter += 1
+        self._use_stamps[seg_id] = self._stamp_counter
         self._cached_sectors += length
         if self._max_length is not None and length > self._max_length:
             self._max_length = length

@@ -9,6 +9,7 @@ request at a time, drawing the next from its scheduler.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.capacity.zones import ZonedSurface
@@ -18,7 +19,7 @@ from repro.performance.seek import SeekModel, seek_parameters_for_platter
 from repro.simulation.cache import DiskCache
 from repro.simulation.events import EventQueue
 from repro.simulation.layout import DiskLayout
-from repro.simulation.mechanics import DiskMechanics, ServiceBreakdown
+from repro.simulation.mechanics import DiskMechanics
 from repro.simulation.request import Request
 from repro.simulation.scheduler import FCFSScheduler, Scheduler
 from repro.units import (
@@ -157,7 +158,7 @@ class SimulatedDisk:
 
     def submit(self, request: Request) -> None:
         """Accept a request at the current simulated time."""
-        if request.end_lba > self.total_sectors:
+        if request.lba + request.sectors > self.layout.total_sectors:
             raise SimulationError(
                 f"{self.name}: request [{request.lba}, {request.end_lba}) "
                 f"exceeds disk size {self.total_sectors}"
@@ -173,40 +174,62 @@ class SimulatedDisk:
 
     # -- service -------------------------------------------------------------------
 
+    @property
+    def bus_mb_per_s(self) -> float:
+        """Interface transfer rate, decimal MB/s (settable)."""
+        return self._bus_mb_per_s
+
+    @bus_mb_per_s.setter
+    def bus_mb_per_s(self, value: float) -> None:
+        self._bus_mb_per_s = value
+        self._bus_bytes_per_s = interface_mb_per_s_to_bytes_per_s(value)
+
     def _bus_ms(self, sectors: int) -> float:
-        bytes_per_s = interface_mb_per_s_to_bytes_per_s(self.bus_mb_per_s)
-        return seconds_to_ms(sectors * BYTES_PER_SECTOR / bytes_per_s)
+        return seconds_to_ms(sectors * BYTES_PER_SECTOR / self._bus_bytes_per_s)
 
     def _service_time(self, request: Request, now: float) -> float:
         """Service time for a request starting now, updating cache/head."""
-        bus = self._bus_ms(request.sectors)
+        lba = request.lba
+        sectors = request.sectors
+        bus = self._bus_ms(sectors)
+        cache = self.cache
         if request.is_write:
-            if self.cache is not None:
-                self.cache.note_write(request.lba, request.sectors)
-            breakdown, end_cyl = self.mechanics.service(
-                now, self.head_cylinder, request.lba, request.sectors
-            )
-            self._account(breakdown, request)
-            self.head_cylinder = end_cyl
-            return breakdown.total_ms + bus + self._fault_penalty_ms(now)
-        if self.cache is not None and self.cache.lookup_read(request.lba, request.sectors):
+            if cache is not None:
+                cache.note_write(lba, sectors)
+        elif cache is not None:
+            if cache.lookup_read(lba, sectors):
+                if self._tel is not None:
+                    self._tel.record(now, "cache_hit", self.name, lba=lba, sectors=sectors)
+                return CACHE_HIT_MS + bus
+            if self._tel is not None:
+                self._tel.record(now, "cache_miss", self.name, lba=lba, sectors=sectors)
+        mechanics = self.mechanics
+        head = self.head_cylinder
+        seek, rotation, switch, transfer, end_cyl, first_cyl = mechanics.timing(
+            now, head, lba, sectors
+        )
+        stats = self.stats
+        stats.seek_ms += seek
+        stats.rotational_ms += rotation
+        stats.transfer_ms += transfer
+        distance = abs(first_cyl - head)
+        if distance > 0:
+            stats.seeks_with_movement += 1
+            stats.total_seek_cylinders += distance
             if self._tel is not None:
                 self._tel.record(
-                    now, "cache_hit", self.name, lba=request.lba, sectors=request.sectors
+                    self.events.now_ms,
+                    "seek",
+                    self.name,
+                    cylinders=distance,
+                    seek_ms=seek,
                 )
-            return CACHE_HIT_MS + bus
-        if self._tel is not None and self.cache is not None:
-            self._tel.record(
-                now, "cache_miss", self.name, lba=request.lba, sectors=request.sectors
-            )
-        breakdown, end_cyl = self.mechanics.service(
-            now, self.head_cylinder, request.lba, request.sectors
-        )
-        self._account(breakdown, request)
+                self._tel.observe(f"{self.name}.seek_ms", seek)
         self.head_cylinder = end_cyl
-        if self.cache is not None:
-            self.cache.fill_after_read(request.lba, request.sectors, self.total_sectors)
-        return breakdown.total_ms + bus + self._fault_penalty_ms(now)
+        if cache is not None and not request.is_write:
+            cache.fill_after_read(lba, sectors, self.layout.total_sectors)
+        total = mechanics.controller_overhead_ms + seek + rotation + switch + transfer
+        return total + bus + self._fault_penalty_ms(now)
 
     def _fault_penalty_ms(self, now: float) -> float:
         """Injected-fault latency for one media access (0 when healthy).
@@ -236,25 +259,6 @@ class SimulatedDisk:
             self._tel.observe("faults.extra_ms", fault.extra_ms)
         return fault.extra_ms
 
-    def _account(self, breakdown: ServiceBreakdown, request: Request) -> None:
-        self.stats.seek_ms += breakdown.seek_ms
-        self.stats.rotational_ms += breakdown.rotational_ms
-        self.stats.transfer_ms += breakdown.transfer_ms
-        target = self.layout.cylinder_of(request.lba)
-        distance = abs(target - self.head_cylinder)
-        if distance > 0:
-            self.stats.seeks_with_movement += 1
-            self.stats.total_seek_cylinders += distance
-            if self._tel is not None:
-                self._tel.record(
-                    self.events.now_ms,
-                    "seek",
-                    self.name,
-                    cylinders=distance,
-                    seek_ms=breakdown.seek_ms,
-                )
-                self._tel.observe(f"{self.name}.seek_ms", breakdown.seek_ms)
-
     def _begin(self, request: Request, now: float) -> None:
         self.busy = True
         request.start_service_ms = now
@@ -272,7 +276,7 @@ class SimulatedDisk:
                 service_ms=service,
             )
             self._tel.observe(f"{self.name}.service_ms", service)
-        self.events.schedule(now + service, lambda t, r=request: self._finish(r, t))
+        self.events.schedule(now + service, partial(self._finish, request))
 
     def _finish(self, request: Request, now: float) -> None:
         request.completion_ms = now

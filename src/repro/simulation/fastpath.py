@@ -455,7 +455,7 @@ def run_workload_task_vectorized(task: "WorkloadTask") -> "WorkloadSweepResult":
         np, layout, c_lba, c_sectors
     )
     # Target angle of each chunk's first sector: sector fraction plus the
-    # track skew — the exact expression DiskMechanics.sector_angle uses.
+    # track skew — the expression DiskMechanics.timing evaluates per chunk.
     skew = np.mod(
         k_cyl * mech.cylinder_skew_rev + k_surf * mech.track_skew_rev, 1.0
     )

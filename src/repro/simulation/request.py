@@ -30,7 +30,7 @@ class Request:
     lba: int
     sectors: int
     is_write: bool = False
-    request_id: int = field(default_factory=lambda: next(_request_ids))
+    request_id: int = field(default_factory=_request_ids.__next__)
     parent: Optional["Request"] = None
     start_service_ms: Optional[float] = None
     completion_ms: Optional[float] = None

@@ -8,6 +8,7 @@ collects response-time statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from repro.errors import SimulationError
@@ -131,7 +132,10 @@ class StorageSystem:
     def disks(self) -> List[SimulatedDisk]:
         return self.array.disks
 
-    def _submit_traced(self, request: Request) -> None:
+    def _arrive(self, request: Request, now: float) -> None:
+        self.array.submit(request)
+
+    def _arrive_traced(self, request: Request, now: float) -> None:
         assert self._tel is not None
         self._tel.record(
             self.events.now_ms,
@@ -154,9 +158,7 @@ class StorageSystem:
                 f"array holds {capacity}"
             )
         arrivals = []
-        submit = (
-            self._submit_traced if self._tel is not None else self.array.submit
-        )
+        arrive = self._arrive_traced if self._tel is not None else self._arrive
         for record in trace:
             request = Request(
                 arrival_ms=record.time_ms,
@@ -164,7 +166,7 @@ class StorageSystem:
                 sectors=record.sectors,
                 is_write=record.is_write,
             )
-            arrivals.append((record.time_ms, lambda t, r=request: submit(r)))
+            arrivals.append((record.time_ms, partial(arrive, request)))
         self.events.schedule_batch(arrivals)
         if self._tel is not None:
             self._tel.probes.attach(self.events)

@@ -499,3 +499,39 @@ class TestRequestParserFuzz:
                     "Content-Length must be a non-negative integer"
                 ), label
         assert answered >= len(outcomes) // 2
+
+
+class TestReadTimeout:
+    """A client that stalls mid-request is disconnected within
+    ``READ_TIMEOUT_S``; a prompt client is unaffected."""
+
+    BOUND_S = 0.5
+
+    def test_stalled_client_is_disconnected_and_normal_requests_succeed(
+        self, tmp_path, monkeypatch
+    ):
+        import asyncio
+
+        from repro.service import app as service_app
+
+        monkeypatch.setattr(service_app, "READ_TIMEOUT_S", self.BOUND_S)
+
+        async def stall(port):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            try:
+                # Half a request: the request line and one header, no
+                # terminating blank line, and the socket stays open.
+                writer.write(b"GET /healthz HTTP/1.1\r\nHost: x\r\n")
+                await writer.drain()
+                started = time.monotonic()
+                reply = await asyncio.wait_for(reader.read(), timeout=10.0)
+                return reply, time.monotonic() - started
+            finally:
+                writer.close()
+
+        with _Service(tmp_path) as service:
+            reply, waited = asyncio.run(stall(service.app.port))
+            status, health = service.json("GET", "/healthz")
+        assert reply == b""  # closed without a reply
+        assert waited < self.BOUND_S + 5.0
+        assert (status, health["status"]) == (200, "ok")
