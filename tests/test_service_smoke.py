@@ -150,11 +150,13 @@ def test_subprocess_dedup_and_cli_byte_identity(store_dir, tmp_path):
 
 
 def test_sigterm_midjob_then_restart_resumes_from_store(store_dir, tmp_path):
-    # Four chunkier tasks (~1 s each, serial) so SIGTERM lands mid-job.
+    # Four chunkier tasks (~0.3 s each, serial, on a 2-core Xeon VM) so
+    # SIGTERM lands mid-job: the drain must reach the job before the
+    # remaining tasks finish.
     payload = {
         "workloads": ["tpcc"],
         "rpm_steps": 4,
-        "requests": 900,
+        "requests": 6000,
         "seed": 23,
         "backend": "serial",
     }
