@@ -15,6 +15,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from multiprocessing.connection import wait as wait_for_sentinels
 from typing import (
     Any,
     Callable,
@@ -42,6 +43,9 @@ __all__ = ["ProcessPoolBackend", "reap_executor"]
 TaskT = TypeVar("TaskT")
 ResultT = TypeVar("ResultT")
 
+#: Longest :func:`reap_executor` waits for terminated workers to exit.
+REAP_TIMEOUT_S = 5.0
+
 
 def reap_executor(executor: ProcessPoolExecutor) -> None:
     """Shut an executor down *now*, reclaiming even hung workers.
@@ -57,15 +61,30 @@ def reap_executor(executor: ProcessPoolExecutor) -> None:
     ``cancel()``, the resilience layer's hung-pool respawn, and
     interrupt teardown; callers must never capture the process table or
     call ``shutdown(wait=False)`` themselves.
+
+    Returns once every captured worker has exited and its exit code is
+    recorded (or after :data:`REAP_TIMEOUT_S`).  Exit is read from each
+    worker's sentinel, never from one ``poll()``: the executor's
+    management thread ``waitpid``s the same children, and whichever
+    thread loses that race sees ``ECHILD`` and reports a dead worker as
+    alive until the winner publishes the exit code.
     """
     table = getattr(executor, "_processes", None)
     processes = list(table.values()) if table else []
     executor.shutdown(wait=False, cancel_futures=True)
     for process in processes:
-        if process.is_alive():
+        if process.exitcode is None:
             process.terminate()
+    deadline = time.monotonic() + REAP_TIMEOUT_S
+    pending = {process.sentinel: process for process in processes}
+    while pending and time.monotonic() < deadline:
+        for sentinel in wait_for_sentinels(
+            list(pending), timeout=deadline - time.monotonic()
+        ):
+            del pending[sentinel]
     for process in processes:
-        process.join(timeout=5.0)
+        while process.exitcode is None and time.monotonic() < deadline:
+            time.sleep(0.001)
 
 
 class ProcessPoolBackend(ExecutionBackend):
