@@ -813,11 +813,16 @@ def _copy_repo_tree(tmp_path):
     return dest
 
 
+@pytest.fixture(scope="module")
+def real_repo_deep():
+    """One uncached deep pass over the real repository, shared by the
+    read-only checks (the mutation tests run on their own copies)."""
+    return run_deep(DeepConfig(project_root=REPO_ROOT, cache_dir=None))
+
+
 class TestRealRepo:
-    def test_deep_self_check_is_clean(self):
-        result = run_deep(
-            DeepConfig(project_root=REPO_ROOT, cache_dir=None)
-        )
+    def test_deep_self_check_is_clean(self, real_repo_deep):
+        result = real_repo_deep
         assert result.findings == [], "\n".join(
             f.render() for f in result.findings
         )
@@ -845,11 +850,11 @@ class TestRealRepo:
         # The same edit also trips the schema-drift gate.
         assert any(f.rule_id == "TL013" for f in result.findings)
 
-    def test_sweep_kind_records_keep_workers_and_codecs_rooted(self):
+    def test_sweep_kind_records_keep_workers_and_codecs_rooted(self, real_repo_deep):
         # Each family names its worker, key and codec only inside its
         # SweepKind(...) record; the record is a worker sink, so they
         # stay keyed-zone roots (and TL007-TL012 keep covering them).
-        result = run_deep(DeepConfig(project_root=REPO_ROOT, cache_dir=None))
+        result = real_repo_deep
         for name in (
             "repro.simulation.sweep._run_workload_task",
             "repro.simulation.sweep.workload_task_key",
@@ -862,10 +867,10 @@ class TestRealRepo:
         ):
             assert name in result.roots, name
 
-    def test_roadmap_kind_is_a_keyed_zone_root(self):
+    def test_roadmap_kind_is_a_keyed_zone_root(self, real_repo_deep):
         # The Figure 2 roadmap runs through its SweepKind like every other
         # family, so its worker and derived key/codec are roots too.
-        result = run_deep(DeepConfig(project_root=REPO_ROOT, cache_dir=None))
+        result = real_repo_deep
         for name in (
             "repro.simulation.sweep._run_roadmap_task",
             "repro.simulation.sweep.roadmap_task_key",
