@@ -21,6 +21,9 @@ Invariants checked on every generated topology:
   all-top-rung baseline.
 * **Byte-determinism** — simulating the same rack task twice produces
   byte-identical canonical results JSON.
+* **Rise linearity** — the memoized per-drive rise, solved once at a
+  pinned reference ambient, plus the real inlet equals a steady solve
+  at that inlet (the thermal network is linear in ambient).
 """
 
 from __future__ import annotations
@@ -192,3 +195,25 @@ def test_fixed_seed_byte_determinism():
         first = fleet_results_json_bytes([_run_rack_task(task)])
         second = fleet_results_json_bytes([_run_rack_task(task)])
         assert first == second, f"case {case} ({rack.name}) is not deterministic"
+
+
+def test_memoized_rise_matches_a_solve_at_the_real_inlet():
+    """``drive_air_rise_c`` memoizes each drive's rise at a pinned
+    reference ambient; adding the real inlet back must reproduce a solve
+    at that inlet, for the VCM-off (duty 0) and VCM-on (duty 1) states."""
+    from repro.fleet.coupling import drive_air_rise_c
+    from repro.thermal.envelope import steady_air_temperature_c
+
+    rng = random.Random(SEED + 3)
+    for case in range(CASES):
+        diameter = rng.choice((1.6, 2.1, 2.6, 3.3))
+        platters = rng.randint(1, 4)
+        rpm = rng.uniform(5000.0, 30000.0)
+        inlet = rng.uniform(5.0, 50.0)
+        for duty, vcm_active in ((0.0, False), (1.0, True)):
+            memoized = inlet + drive_air_rise_c(diameter, platters, rpm, duty)
+            solved = steady_air_temperature_c(
+                diameter, rpm, platter_count=platters, ambient_c=inlet,
+                vcm_active=vcm_active,
+            )
+            assert memoized == pytest.approx(solved, rel=0.0, abs=1e-9), case
