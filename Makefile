@@ -73,6 +73,7 @@ service-smoke:   ## job-service gate: serve boots, dedups, matches CLI bytes
 	$(PYTHON) tools/service_smoke.py \
 		--store-dir "$${REPRO_SERVICE_STORE_DIR:-/tmp/repro-service-smoke}" \
 		--out /tmp/repro_service_results.json \
+		--fleet-out /tmp/repro_service_fleet.json \
 		--metrics-out /tmp/repro_service_metrics.prom
 
 fault-smoke:     ## crash-recovery gate: injected sweep survives a dead worker

@@ -29,16 +29,15 @@ Every command prints an aligned plain-text table.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from types import ModuleType
-from typing import TYPE_CHECKING, Any, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.constants import AMBIENT_TEMPERATURE_C, THERMAL_ENVELOPE_C
 from repro.errors import ReproError
+from repro.job_config import FleetJobConfig, SweepJobConfig, config_fields
 from repro.reporting import format_table
-
-if TYPE_CHECKING:  # pragma: no cover - annotation only
-    from repro.simulation.resilience import SweepKind
 
 #: ``--backend`` choices (:data:`repro.simulation.backends.BACKEND_NAMES`).
 _BACKEND_CHOICES = ("serial", "process", "shared-store")
@@ -288,20 +287,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fault_config_from(args: argparse.Namespace):
-    """Build a FaultConfig from CLI flags (None when injection is off)."""
-    if not getattr(args, "inject_faults", False):
-        return None
-    from repro.faults import FaultConfig
-
-    return FaultConfig(
-        seed=args.fault_seed,
-        media_rate=args.media_rate,
-        servo_rate=args.servo_rate,
-    )
-
-
-def _backend_from(args: argparse.Namespace) -> Optional[str]:
+def _backend_from(explicit: Optional[str]) -> Optional[str]:
     """The resolved backend name, or None when nothing selects one.
 
     ``--backend`` wins over ``REPRO_SWEEP_BACKEND``; both validate here,
@@ -312,7 +298,6 @@ def _backend_from(args: argparse.Namespace) -> Optional[str]:
 
     from repro.simulation.backends import BACKEND_ENV_VAR, resolve_backend_name
 
-    explicit = getattr(args, "backend", None)
     if explicit is None and not os.environ.get(BACKEND_ENV_VAR, "").strip():
         return None
     return resolve_backend_name(explicit)
@@ -355,24 +340,27 @@ def _check_resume_manifest(path: str, task_keys: List[str]) -> None:
 
 def _run_kind_from_args(
     args: argparse.Namespace,
-    kind: "SweepKind",
+    config: Any,
     tasks: Sequence[Any],
     units: str,
     default_manifest: str,
     results_what: str,
     announce_backend: bool = True,
 ) -> List[Any]:
-    """Run one sweep family's tasks the way the run flags ask.
+    """Run one job config's tasks the way the run flags ask.
 
     Shared by ``repro sweep workload`` and ``repro fleet``: the
     ``--resume`` check, strict vs ``--partial-results``, the manifest,
-    the backend/store lines and ``--results-out``.  ``units`` names the
-    tasks in the manifest line, ``results_what`` the results line.
-    Returns the per-task results, with None holes for failed tasks.
+    the backend/store lines and ``--results-out``.  ``config`` supplies
+    the sweep kind and the execution knobs (backend, workers, retries).
+    ``units`` names the tasks in the manifest line, ``results_what`` the
+    results line.  Returns the per-task results, with None holes for
+    failed tasks.
     """
     from repro.simulation.resilience import run_kind
 
-    backend = _backend_from(args)
+    kind = config.sweep_kind()
+    backend = _backend_from(config.backend)
     store = None
     # Resuming goes through the store, and the shared-store backend
     # coordinates through it, so both imply --store.
@@ -387,8 +375,8 @@ def _run_kind_from_args(
         kind,
         tasks,
         store=store,
-        workers=args.workers,
-        retries=args.retries,
+        workers=config.workers,
+        retries=config.retries,
         timeout_s=args.task_timeout,
         backend=backend,
     )
@@ -435,7 +423,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         by_count = sweep_roadmap(
             platter_counts=args.platters,
             workers=args.workers,
-            backend=_backend_from(args),
+            backend=_backend_from(args.backend),
         )
         for count, points in by_count.items():
             print(f"{count}-platter roadmap:")
@@ -444,25 +432,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print("(* = meets the 40% IDR growth target)")
         return 0
 
-    from repro.simulation.sweep import build_workload_tasks, workload_sweep_kind
-
+    config = _config_from_args(SweepJobConfig, args)
     telemetry = bool(args.telemetry or args.telemetry_out)
-    fault_config = _fault_config_from(args)
-    tasks = build_workload_tasks(
-        args.names,
-        rpm_steps=args.steps,
-        requests=args.requests,
-        seed=args.seed,
-        telemetry=telemetry,
-        probe_interval_ms=args.probe_interval,
-        fault_config=fault_config,
-        engine=args.engine,
+    tasks = config.build_tasks(
+        telemetry=telemetry, probe_interval_ms=args.probe_interval
     )
     results = [
         r
         for r in _run_kind_from_args(
             args,
-            workload_sweep_kind(),
+            config,
             tasks,
             units="sweep points",
             default_manifest="sweep_manifest.json",
@@ -512,12 +491,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         ]
         for r in results
     ]
-    if args.engine != "exact":
+    if config.engine != "exact":
         # Surface which engine actually answered (fallbacks show "exact").
         headers.append("engine")
         for row, r in zip(rows, results):
             row.append(r.engine)
-    if fault_config is not None:
+    if config.inject_faults:
         headers.append("faults")
         for row, r in zip(rows, results):
             injected = (r.fault_summary or {}).get("total_injected", 0)
@@ -528,50 +507,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
     """Fleet sweep: one content-keyed task per rack over the backends."""
-    from repro.fleet import (
-        FleetDTMPolicy,
-        ReliabilityParams,
-        TieringPolicy,
-        build_rack_tasks,
-        fleet_summary,
-        uniform_fleet,
-    )
-    from repro.fleet.sweep import fleet_sweep_kind
+    from repro.fleet import fleet_summary
 
-    fleet = uniform_fleet(
-        racks=args.racks,
-        enclosures_per_rack=args.enclosures,
-        drives_per_enclosure=args.drives,
-        airflow_m3_per_s=args.airflow,
-        cooling_budget_w=args.cooling_budget,
-        diameter_in=args.diameter,
-        platter_count=args.platters,
-        vcm_duty=args.vcm_duty,
-        inlet_c=args.inlet,
-        recirculation=args.recirculation,
-        envelope_c=args.envelope,
-    )
-    tasks = build_rack_tasks(
-        fleet,
-        policy=FleetDTMPolicy(
-            rpm_levels=tuple(args.rpm_levels), envelope_c=args.envelope
-        ),
-        reliability=ReliabilityParams(
-            base_afr=args.base_afr,
-            reference_c=args.reference_c,
-            mttr_hours=args.mttr_hours,
-        ),
-        tiering=TieringPolicy(
-            extents=args.tiering_extents,
-            seed=args.tiering_seed,
-            target_utilization=args.tiering_utilization,
-        ),
-        fault_config=_fault_config_from(args),
-        accesses_per_drive=args.accesses,
-    )
+    config = _config_from_args(FleetJobConfig, args)
+    tasks = config.build_tasks()
     results = _run_kind_from_args(
         args,
-        fleet_sweep_kind(),
+        config,
         tasks,
         units="rack(s)",
         default_manifest="fleet_manifest.json",
@@ -611,7 +553,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             f"expected annual failures "
             f"{summary['expected_annual_failures']:.3f}"
         )
-        if args.tiering_extents > 0:
+        if config.tiering_extents > 0:
             print(
                 f"tiering: saved {summary['tiering_saved_power_w']:.2f} W "
                 f"across the fleet"
@@ -834,51 +776,134 @@ def _name_list(text: str) -> List[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
+#: How each job-config field appears on the command line: its flag
+#: strings (a bare name is a positional) and help.  Its type, default and
+#: optionality come from the field (:func:`repro.job_config.config_fields`),
+#: apart from :data:`_CLI_DEFAULTS`.
+_CONFIG_FLAGS: Dict[str, Tuple[Tuple[str, ...], Optional[str]]] = {
+    # repro sweep workload
+    "workloads": (("names",), "comma-separated workload names (e.g. tpcc,oltp)"),
+    "rpms": (("--rpms",), "comma-separated RPM ladder for every workload (replaces --steps)"),
+    "rpm_steps": (("--steps",), "RPM ladder length"),
+    "requests": (("-n", "--requests"), None),
+    "seed": (("--seed",), None),
+    "keep_samples": (("--keep-samples",), "carry every response-time sample into the results"),
+    "engine": (
+        ("--engine",),
+        "simulation engine: the event-driven simulator (exact), the byte-identical "
+        "vectorized replay, the closed-form queueing estimator (analytic), or the "
+        "fastest qualifying one (auto); see docs/fastpath.md",
+    ),
+    # repro fleet
+    "racks": (("--racks",), "rack count"),
+    "enclosures_per_rack": (("--enclosures",), "enclosures per rack"),
+    "drives_per_enclosure": (("--drives",), "drives per enclosure"),
+    "airflow_m3_per_s": (("--airflow",), "enclosure cooling airflow in m^3/s"),
+    "cooling_budget_w": (("--cooling-budget",), "per-enclosure cooling budget in W"),
+    "diameter_in": (("-d", "--diameter"), "platter diameter (in)"),
+    "platter_count": (("-p", "--platters"), "platters per drive"),
+    "vcm_duty": (("--vcm-duty",), "seek activity in [0, 1]"),
+    "inlet_c": (("--inlet",), "cold-aisle supply temperature (C)"),
+    "recirculation": (
+        ("--recirculation",),
+        "fraction of upstream exhaust rise reaching downstream inlets",
+    ),
+    "envelope_c": (("--envelope",), "thermal envelope the fleet DTM enforces (C)"),
+    "rpm_levels": (("--rpm-levels",), "comma-separated multi-speed ladder, ascending"),
+    "max_rounds": (("--max-rounds",), "fleet DTM throttle rounds before giving up"),
+    "base_afr": (("--base-afr",), "annualized failure rate at the reference temperature"),
+    "reference_c": (("--reference-c",), "reference temperature of --base-afr (C)"),
+    "mttr_hours": (("--mttr-hours",), "mean time to repair"),
+    "tiering_extents": (("--tiering-extents",), "extents to tier per rack (0 = tiering off)"),
+    "tiering_seed": (("--tiering-seed",), "extent-heat seed"),
+    "tiering_target_utilization": (
+        ("--tiering-utilization",),
+        "balanced-layout utilization target in (0, 1]",
+    ),
+    "accesses_per_drive": (
+        ("--accesses",),
+        "fault-replayed media accesses per drive (with --inject-faults)",
+    ),
+    # both families
+    "inject_faults": (("--inject-faults",), "inject deterministic per-drive media/servo faults"),
+    "fault_seed": (("--fault-seed",), "fault-injection seed"),
+    "media_rate": (
+        ("--media-rate",),
+        "per-media-access media-error probability (with --inject-faults)",
+    ),
+    "servo_rate": (
+        ("--servo-rate",),
+        "per-media-access servo-fault probability (with --inject-faults)",
+    ),
+    "backend": (
+        ("--backend",),
+        "execution backend (default $REPRO_SWEEP_BACKEND or process); shared-store "
+        "coordinates with peer processes through the result store and implies --store",
+    ),
+    "retries": (("--retries",), "extra attempts per failed task"),
+    "workers": (("-w", "--workers"), "process count"),
+}
+
+#: The CLI's own defaults where they differ from the config's (which
+#: the service uses): smaller default sweeps, one more retry.
+_CLI_DEFAULTS: Dict[str, Any] = {"requests": 4000, "retries": 2}
+
+#: Choices of the closed-set string fields (``engine``:
+#: :data:`repro.simulation.fastpath.ENGINES`).
+_CONFIG_CHOICES: Dict[str, Tuple[str, ...]] = {
+    "engine": ("exact", "vectorized", "analytic", "auto"),
+    "backend": _BACKEND_CHOICES,
+}
+
+
+def _flag_dest(flags: Tuple[str, ...]) -> str:
+    """The ``args`` attribute argparse stores a field's flag under."""
+    name = next((flag for flag in flags if flag.startswith("--")), flags[0])
+    return name.lstrip("-").replace("-", "_")
+
+
+def _add_config_flags(p: argparse.ArgumentParser, cls: type) -> None:
+    """One flag per field of job config ``cls``, in field order."""
+    list_types: Dict[type, Callable[[str], List[Any]]] = {str: _name_list, float: _float_list}
+    for field in config_fields(cls):
+        flags, help_text = _CONFIG_FLAGS[field.name]
+        default = _CLI_DEFAULTS.get(field.name, field.default)
+        kwargs: Dict[str, Any] = {"help": help_text}
+        if field.scalar is bool:
+            kwargs["action"] = "store_true"
+        elif field.is_tuple:
+            kwargs["type"] = list_types[field.scalar]
+        elif field.scalar is not str:
+            kwargs["type"] = field.scalar
+        if field.name in _CONFIG_CHOICES:
+            kwargs["choices"] = _CONFIG_CHOICES[field.name]
+        if default is not dataclasses.MISSING:
+            kwargs["default"] = list(default) if isinstance(default, tuple) else default
+        p.add_argument(*flags, **kwargs)
+
+
+def _config_from_args(cls: type, args: argparse.Namespace) -> Any:
+    """Rebuild the job config ``cls`` from its parsed flags."""
+    values = {}
+    for field in config_fields(cls):
+        value = getattr(args, _flag_dest(_CONFIG_FLAGS[field.name][0]))
+        values[field.name] = tuple(value) if field.is_tuple and value is not None else value
+    return cls(**values)
+
+
 def _add_run_flags(
     p: argparse.ArgumentParser,
+    cls: type,
     units: str,
     default_manifest: str,
     results_schema: str,
 ) -> None:
-    """The run flags ``repro sweep workload`` and ``repro fleet`` share:
-    workers and backend, fault injection, retries and deadlines, partial
-    results and manifests, the result store, resume and results output.
-    ``units`` names what one task computes (``points``, ``racks``)."""
-    p.add_argument("-w", "--workers", type=int, default=None, help="process count")
-    p.add_argument(
-        "--backend",
-        choices=_BACKEND_CHOICES,
-        default=None,
-        help="execution backend (default $REPRO_SWEEP_BACKEND or process); "
-        "shared-store coordinates with peer processes through the result "
-        "store and implies --store",
-    )
-    p.add_argument(
-        "--inject-faults",
-        action="store_true",
-        help="inject deterministic per-drive media/servo faults",
-    )
-    p.add_argument(
-        "--media-rate",
-        type=float,
-        default=0.01,
-        help="per-media-access media-error probability (with --inject-faults)",
-    )
-    p.add_argument(
-        "--servo-rate",
-        type=float,
-        default=0.0,
-        help="per-media-access servo-fault probability (with --inject-faults)",
-    )
-    p.add_argument(
-        "--fault-seed", type=int, default=0, help="fault-injection seed"
-    )
-    p.add_argument(
-        "--retries",
-        type=int,
-        default=2,
-        help="extra attempts per failed task",
-    )
+    """The flags of a job-running command: one per field of job config
+    ``cls``, then the run flags ``repro sweep workload`` and ``repro
+    fleet`` share: deadlines, partial results and manifests, the result
+    store, resume and results output.  ``units`` names what one task
+    computes (``points``, ``racks``)."""
+    _add_config_flags(p, cls)
     p.add_argument(
         "--task-timeout",
         type=float,
@@ -1042,22 +1067,12 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sweep_sub.add_parser(
         "workload", help="Figure 4 sweep over (workload, RPM) points"
     )
-    ps.add_argument(
-        "names",
-        type=_name_list,
-        help="comma-separated workload names (e.g. tpcc,oltp)",
-    )
-    ps.add_argument("-n", "--requests", type=int, default=4000)
-    ps.add_argument("--seed", type=int, default=1)
-    ps.add_argument("--steps", type=int, default=4, help="RPM ladder length")
-    ps.add_argument(
-        "--engine",
-        choices=("exact", "vectorized", "analytic", "auto"),
-        default="exact",
-        help="simulation engine: the event-driven simulator (exact), the "
-        "byte-identical vectorized replay, the closed-form queueing "
-        "estimator (analytic), or the fastest qualifying one (auto); "
-        "see docs/fastpath.md",
+    _add_run_flags(
+        ps,
+        SweepJobConfig,
+        units="points",
+        default_manifest="sweep_manifest.json",
+        results_schema="repro.sweep_results/2",
     )
     ps.add_argument(
         "--telemetry",
@@ -1077,106 +1092,15 @@ def build_parser() -> argparse.ArgumentParser:
         default=100.0,
         help="time-series sampling interval in simulated ms",
     )
-    _add_run_flags(
-        ps,
-        units="points",
-        default_manifest="sweep_manifest.json",
-        results_schema="repro.sweep_results/2",
-    )
 
     p = sub.add_parser(
         "fleet",
         help="fleet-scale sweep: racks of thermally coupled enclosures with "
         "fleet DTM, tiering and AFR/availability reporting",
     )
-    p.add_argument("--racks", type=int, default=2, help="rack count")
-    p.add_argument(
-        "--enclosures", type=int, default=4, help="enclosures per rack"
-    )
-    p.add_argument("--drives", type=int, default=3, help="drives per enclosure")
-    p.add_argument(
-        "--airflow",
-        type=float,
-        default=0.018,
-        help="enclosure cooling airflow in m^3/s",
-    )
-    p.add_argument(
-        "--cooling-budget",
-        type=float,
-        default=300.0,
-        help="per-enclosure cooling budget in W",
-    )
-    p.add_argument(
-        "-d", "--diameter", type=float, default=2.6, help="platter diameter (in)"
-    )
-    p.add_argument(
-        "-p", "--platters", type=int, default=1, help="platters per drive"
-    )
-    p.add_argument(
-        "--vcm-duty", type=float, default=0.5, help="seek activity in [0, 1]"
-    )
-    p.add_argument(
-        "--inlet",
-        type=float,
-        default=AMBIENT_TEMPERATURE_C,
-        help="cold-aisle supply temperature (C)",
-    )
-    p.add_argument(
-        "--recirculation",
-        type=float,
-        default=0.2,
-        help="fraction of upstream exhaust rise reaching downstream inlets",
-    )
-    p.add_argument(
-        "--envelope",
-        type=float,
-        default=THERMAL_ENVELOPE_C,
-        help="thermal envelope the fleet DTM enforces (C)",
-    )
-    p.add_argument(
-        "--rpm-levels",
-        type=_float_list,
-        default=[9600.0, 12000.0, 15000.0],
-        help="comma-separated multi-speed ladder, ascending",
-    )
-    p.add_argument(
-        "--base-afr",
-        type=float,
-        default=0.02,
-        help="annualized failure rate at the reference temperature",
-    )
-    p.add_argument(
-        "--reference-c",
-        type=float,
-        default=40.0,
-        help="reference temperature of --base-afr (C)",
-    )
-    p.add_argument(
-        "--mttr-hours", type=float, default=12.0, help="mean time to repair"
-    )
-    p.add_argument(
-        "--tiering-extents",
-        type=int,
-        default=0,
-        help="extents to tier per rack (0 = tiering off)",
-    )
-    p.add_argument(
-        "--tiering-seed", type=int, default=0, help="extent-heat seed"
-    )
-    p.add_argument(
-        "--tiering-utilization",
-        type=float,
-        default=0.7,
-        help="balanced-layout utilization target in (0, 1]",
-    )
-    p.add_argument(
-        "--accesses",
-        type=int,
-        default=256,
-        help="fault-replayed media accesses per drive (with --inject-faults)",
-    )
     _add_run_flags(
         p,
+        FleetJobConfig,
         units="racks",
         default_manifest="fleet_manifest.json",
         results_schema="repro.fleet_results/1",

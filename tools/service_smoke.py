@@ -5,16 +5,18 @@ Boots the real service as a subprocess on an ephemeral port, submits the
 canonical smoke sweep twice (the second submission must dedup against
 the first), waits for the job, writes the fetched ``/v1/results/<key>``
 bytes to ``--out`` (CI then ``cmp``'s them against a ``repro sweep
-workload --results-out`` artifact for byte-identity), scrapes
-``/metrics`` — asserting the exposition parses back and the dedup
-counter reads 1 — and finally SIGTERMs the server, requiring a clean
-exit.
+workload --results-out`` artifact for byte-identity), runs one fleet job
+with a non-default ``max_rounds`` and writes its results to
+``--fleet-out`` (``cmp``'d against ``repro fleet --max-rounds 1``),
+scrapes ``/metrics`` — asserting the exposition parses back and the
+dedup counter reads 1 — and finally SIGTERMs the server, requiring a
+clean exit.
 
 Usage::
 
     PYTHONPATH=src python tools/service_smoke.py \
         --store-dir /tmp/svc-store --out service.json \
-        --metrics-out metrics.prom
+        --fleet-out service_fleet.json --metrics-out metrics.prom
 """
 
 from __future__ import annotations
@@ -35,6 +37,19 @@ PAYLOAD = {
     "rpm_steps": 2,
     "requests": 200,
     "seed": 11,
+    "backend": "serial",
+}
+
+#: The service twin of ``repro fleet --racks 2 --enclosures 3 --drives 4
+#: --cooling-budget 150 --max-rounds 1 --backend serial``; one throttle
+#: round leaves this fleet short of its default-``max_rounds`` result.
+FLEET_PAYLOAD = {
+    "kind": "fleet_sweep",
+    "racks": 2,
+    "enclosures_per_rack": 3,
+    "drives_per_enclosure": 4,
+    "cooling_budget_w": 150.0,
+    "max_rounds": 1,
     "backend": "serial",
 }
 
@@ -86,11 +101,37 @@ def wait_for_port(port_file: str, proc: "subprocess.Popen[bytes]") -> int:
     raise SystemExit("server did not write its port file in 30 s")
 
 
+def wait_for_job(port: int, job_id: str) -> Any:
+    """Poll one job until it finishes; returns its final document."""
+    deadline = time.monotonic() + 120.0
+    while time.monotonic() < deadline:
+        status, body = request(port, "GET", f"/v1/jobs/{job_id}")
+        assert status == 200, (status, body)
+        doc = json.loads(body)
+        if doc["state"] in ("done", "failed"):
+            break
+        time.sleep(0.2)
+    assert doc["state"] == "done", doc
+    return doc
+
+
+def fetch_results(port: int, key: str, out: str) -> None:
+    """Write one job's ``/v1/results/<key>`` bytes to ``out``."""
+    status, results = request(port, "GET", f"/v1/results/{key}")
+    assert status == 200, status
+    with open(out, "wb") as handle:
+        handle.write(results)
+    print(f"results: {len(results)} bytes -> {out}")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--store-dir", required=True)
     parser.add_argument(
         "--out", required=True, help="where the fetched results bytes land"
+    )
+    parser.add_argument(
+        "--fleet-out", required=True, help="where the fleet job's results land"
     )
     parser.add_argument(
         "--metrics-out", default=None, help="optional raw /metrics dump"
@@ -117,28 +158,19 @@ def main() -> int:
         assert second["id"] == first["id"]
         print(f"dedup confirmed: both submissions map to {first['id']}")
 
-        deadline = time.monotonic() + 120.0
-        while time.monotonic() < deadline:
-            status, body = request(port, "GET", f"/v1/jobs/{first['id']}")
-            assert status == 200, (status, body)
-            doc = json.loads(body)
-            if doc["state"] in ("done", "failed"):
-                break
-            time.sleep(0.2)
-        assert doc["state"] == "done", doc
-        progress = doc["progress"]
+        progress = wait_for_job(port, first["id"])["progress"]
         print(
             f"job done: {progress['done']}/{progress['total']} tasks "
             f"({progress['cached']} cached)"
         )
+        fetch_results(port, first["key"], args.out)
 
-        status, results = request(
-            port, "GET", f"/v1/results/{first['key']}"
-        )
-        assert status == 200, status
-        with open(args.out, "wb") as handle:
-            handle.write(results)
-        print(f"results: {len(results)} bytes -> {args.out}")
+        status, body = request(port, "POST", "/v1/jobs", FLEET_PAYLOAD)
+        assert status == 201, (status, body)
+        fleet = json.loads(body)
+        wait_for_job(port, fleet["id"])
+        print(f"fleet job done: max_rounds={FLEET_PAYLOAD['max_rounds']}")
+        fetch_results(port, fleet["key"], args.fleet_out)
 
         status, metrics = request(port, "GET", "/metrics")
         assert status == 200, status
