@@ -8,7 +8,9 @@ so that one result byte moves.  These tests pin, by SHA-256 digest:
   over all five catalog workloads;
 * the logical response-time samples of an SSTF and a LOOK replay (the
   position-aware schedulers key on ``DiskLayout.cylinder_of``);
-* the per-disk mechanical totals (:class:`DiskStats`) of one replay.
+* the per-disk mechanical totals (:class:`DiskStats`) of one replay;
+* the mean response times of the Figure 4 tpcc RPM ladder at full scale,
+  as literals (the values first recorded in ``BENCH_PR1.json``).
 
 A moved digest means the engine's arithmetic changed; a deliberate model
 change must update these literals in the same commit.
@@ -102,3 +104,9 @@ class TestExactEnginePins:
         assert _floats_digest(totals) == (
             "1c61a408a0001adae71a32900a97cbbb0185706b4de2e23b51c65313a4cfa750"
         )
+
+    def test_figure4_tpcc_ladder_means(self):
+        results = sweep_workloads(["tpcc"], requests=6000, workers=0)
+        assert [round(r.mean_ms, 6) for r in results] == [
+            9.797353, 6.873089, 5.429306, 4.638604
+        ]

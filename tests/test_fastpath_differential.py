@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -126,6 +127,29 @@ def test_analytic_within_documented_tolerance(workload, rpm):
         exact.seed,
     )
     assert estimate.requests == exact.requests
+
+
+def test_analytic_ladder_at_least_ten_times_faster_than_exact():
+    """The analytic engine's reason to exist: on the full 99-point oltp
+    ladder it beats the exact engine by >= 10x, serial on both sides.
+    The exact side runs 8 rungs and is extrapolated to 99 (a measured
+    per-rung constant times the rung count); each side takes the minimum
+    of interleaved runs, so the ratio compares loops, not host noise."""
+    rpms = [6000.0 + 200.0 * i for i in range(99)]
+    exact_points = 8
+    exact_s, analytic_s = [], []
+    for _ in range(2):
+        start = time.perf_counter()
+        sweep_workloads(["oltp"], rpms=rpms[:exact_points], requests=4000,
+                        workers=0)
+        exact_s.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        analytic = sweep_workloads(["oltp"], rpms=rpms, requests=4000,
+                                   workers=0, engine="analytic")
+        analytic_s.append(time.perf_counter() - start)
+    assert {r.engine for r in analytic} == {"analytic"}
+    speedup = min(exact_s) * (len(rpms) / exact_points) / min(analytic_s)
+    assert speedup >= 10.0, f"analytic ladder only {speedup:.1f}x faster"
 
 
 @pytest.mark.parametrize(
