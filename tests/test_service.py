@@ -184,6 +184,41 @@ class TestJobManager:
         assert again.id == job.id
         manager.drain(timeout_s=10.0)
 
+    def test_explicit_ladder_folds_rpm_steps(self, tmp_path):
+        # With ``rpms`` set, ``rpm_steps`` shapes no task, so it must not
+        # split the dedup key either.
+        ladder = dict(PAYLOAD, rpms=[10000.0, 20000.0])
+        first = parse_job_request(dict(ladder, rpm_steps=2))
+        second = parse_job_request(dict(ladder, rpm_steps=7))
+        assert first.build_tasks() == second.build_tasks()
+        assert job_config_key(first) == job_config_key(second)
+        manager = _manager(tmp_path)
+        job, _ = manager.submit(dict(ladder, rpm_steps=2))
+        again, deduped = manager.submit(dict(ladder, rpm_steps=7))
+        assert deduped
+        assert again.id == job.id
+        manager.drain(timeout_s=10.0)
+
+    def test_tasks_built_once_per_job(self, tmp_path, monkeypatch):
+        calls = []
+        build = SweepJobConfig.build_tasks
+
+        def counting(config, *args, **kwargs):
+            calls.append(config)
+            return build(config, *args, **kwargs)
+
+        monkeypatch.setattr(SweepJobConfig, "build_tasks", counting)
+        manager = _manager(tmp_path)
+        job, _ = manager.submit(PAYLOAD)
+        manager.wait_for_job(job.id, timeout_s=60.0)
+        assert job.state == JOB_DONE
+        assert len(calls) == 1
+        assert job.tasks is None  # a finished job holds keys, not tasks
+        _, deduped = manager.submit(PAYLOAD)
+        assert deduped
+        assert len(calls) == 1
+        manager.drain(timeout_s=10.0)
+
     def test_drain_then_restart_resumes_with_zero_recompute(self, tmp_path):
         manager = _manager(tmp_path)
         # Four ~0.1 s tasks leave the watcher ample room to trip the
