@@ -5,7 +5,7 @@ PYTHON ?= python
 # consistent path, with src first so the in-repo package always wins.
 export PYTHONPATH := src:tools:$(PYTHONPATH)
 
-.PHONY: test bench bench-smoke fastpath-smoke fault-smoke fleet-smoke store-smoke service-smoke regen-golden sweep reproduce lint lint-deep typecheck coverage check
+.PHONY: test bench fastpath-smoke fault-smoke fleet-smoke store-smoke service-smoke regen-golden reproduce lint lint-deep typecheck coverage check
 
 test:            ## tier-1 test suite
 	$(PYTHON) -m pytest -x -q
@@ -14,11 +14,10 @@ coverage:        ## tier-1 suite under coverage; floor from pyproject.toml
 	$(PYTHON) -m pytest -q --cov=repro --cov=thermolint \
 		--cov-report=term --cov-report=xml
 
-check:           ## aggregate local gate: tests + lint + typecheck + bench smoke
+check:           ## aggregate local gate: tests + lint + typecheck
 	$(MAKE) test
 	$(MAKE) lint
 	$(MAKE) typecheck
-	$(MAKE) bench-smoke
 
 lint:            ## thermolint shallow + deep (always) + ruff (when installed)
 	$(PYTHON) -m repro lint src/repro --statistics
@@ -43,9 +42,6 @@ typecheck:       ## mypy strict gate (skipped when mypy is not installed)
 bench:           ## full paper benchmark harness (slow)
 	PYTHONPATH=src:tools $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-bench-smoke:     ## miniature sweep benchmark + BENCH_PR1.json schema check (<60 s)
-	$(PYTHON) -m pytest tests/test_bench_smoke.py -q -m "not slow"
-
 regen-golden:    ## regenerate tests/golden/*.json (refuses on a dirty tree)
 	@if ! git diff --quiet || ! git diff --cached --quiet; then \
 		echo "regen-golden: working tree is dirty; commit or stash first" >&2; \
@@ -56,13 +52,9 @@ regen-golden:    ## regenerate tests/golden/*.json (refuses on a dirty tree)
 	$(PYTHON) tools/regen_golden.py
 	git --no-pager diff --stat -- tests/golden
 
-fastpath-smoke:  ## fast-engine gate: differential suite + quick bench vs BENCH_PR6.json
+fastpath-smoke:  ## fast-engine gate: differential suite, tolerance and 10x speed floor
 	$(PYTHON) -m pytest tests/test_fastpath_differential.py \
 		tests/test_statistics_percentiles.py -q
-	PYTHONPATH=src:tools $(PYTHON) benchmarks/bench_sweep.py --fastpath --quick \
-		--output /tmp/bench_fastpath_quick.json
-	$(PYTHON) tools/bench_check.py --baseline BENCH_PR6.json \
-		--fresh /tmp/bench_fastpath_quick.json
 
 store-smoke:     ## result-store gate: second run of a sweep must be ~all hits
 	$(PYTHON) -m pytest tests/test_store_smoke.py -q
@@ -94,8 +86,5 @@ fleet-smoke:     ## fleet gate: property+golden suites, two-backend byte identit
 	cmp /tmp/repro_fleet_serial.json /tmp/repro_fleet_process.json
 	$(PYTHON) -m repro lint src/repro/fleet --statistics
 
-sweep:           ## regenerate BENCH_PR1.json at full scale
-	PYTHONPATH=src:tools $(PYTHON) benchmarks/bench_sweep.py
-
-reproduce:       ## tests + benchmarks + sweep, tee'd to *_output.txt
+reproduce:       ## tests + benchmarks, tee'd to *_output.txt
 	PYTHONPATH=src:tools $(PYTHON) reproduce.py

@@ -4,11 +4,10 @@
 Runs the full test suite and the complete benchmark harness (every table
 and figure of the paper plus the extension studies), tees the outputs to
 ``test_output.txt`` and ``bench_output.txt``, and prints a short index of
-the regenerated artifacts in ``benchmarks/results/``.  Finally the
-parallel-sweep benchmark (benchmarks/bench_sweep.py) regenerates
-``BENCH_PR1.json``, the machine-readable perf-trajectory anchor.
+the regenerated artifacts in ``benchmarks/results/``.  Performance is
+measured separately by ``perfbench/run.py``.
 
-Usage:  python reproduce.py [--skip-tests] [--skip-benches] [--skip-sweep]
+Usage:  python reproduce.py [--skip-tests] [--skip-benches]
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--skip-tests", action="store_true")
     parser.add_argument("--skip-benches", action="store_true")
-    parser.add_argument("--skip-sweep", action="store_true")
     args = parser.parse_args()
 
     status = 0
@@ -60,13 +58,6 @@ def main() -> int:
         print(f"\nregenerated {len(results)} artifacts in benchmarks/results/:")
         for path in results:
             print(f"  {path.name}")
-    if not args.skip_sweep:
-        status |= run(
-            "sweep benchmark",
-            [sys.executable, "benchmarks/bench_sweep.py"],
-            ROOT / "bench_sweep_output.txt",
-        )
-        print(f"perf trajectory written to {ROOT / 'BENCH_PR1.json'}")
     print("\nsee EXPERIMENTS.md for the paper-vs-measured comparison.")
     return status
 
