@@ -381,10 +381,7 @@ class JobManager:
         """Persist a job's results document and return it; a failing put
         degrades the fetch path, never the job (the per-task entries
         rebuild the document)."""
-        try:
-            self.store.put(key, document, kind=SERVICE_RESULTS_KIND)
-        except Exception:
-            self.store.note_put_failed()
+        self.store.save(key, document, kind=SERVICE_RESULTS_KIND)
         return document
 
     def _finish(self, job: Job, state: str, error: Optional[str]) -> None:

@@ -35,10 +35,10 @@ from repro.simulation.backends import (
 )
 from repro.simulation.resilience import (
     MANIFEST_SCHEMA,
+    SweepKind,
     SweepRunReport,
     TaskEnvelope,
-    run_sweep_cached,
-    run_sweep_resilient,
+    run_kind,
 )
 from repro.simulation.statistics import PAPER_CDF_BINS_MS, ResponseTimeStats
 from repro.simulation.sweep import (
@@ -95,10 +95,10 @@ __all__ = [
     "sweep_workloads",
     "sweep_workloads_resilient",
     "MANIFEST_SCHEMA",
+    "SweepKind",
     "SweepRunReport",
     "TaskEnvelope",
-    "run_sweep_cached",
-    "run_sweep_resilient",
+    "run_kind",
     "BACKEND_ENV_VAR",
     "BACKEND_NAMES",
     "ExecutionBackend",

@@ -11,7 +11,7 @@ see :mod:`repro.simulation.backends.base` for the protocol contract.
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Optional, Sequence, TypeVar, Union
+from typing import TYPE_CHECKING, Any, Optional, Sequence, Union
 
 from .base import (
     POLL_INTERVAL_S,
@@ -30,6 +30,9 @@ from .base import (
 from .process import ProcessPoolBackend, reap_executor
 from .serial import SerialBackend
 from .shared_store import DEFAULT_STALE_CLAIM_S, SharedStoreBackend
+
+if TYPE_CHECKING:  # pragma: no cover - cycle broken at runtime
+    from repro.simulation.resilience import SweepKind
 
 __all__ = [
     "BACKEND_ENV_VAR",
@@ -54,9 +57,6 @@ __all__ = [
     "resolve_backend",
     "resolve_backend_name",
 ]
-
-TaskT = TypeVar("TaskT")
-ResultT = TypeVar("ResultT")
 
 #: Environment variable consulted when no explicit backend is passed.
 BACKEND_ENV_VAR = "REPRO_SWEEP_BACKEND"
@@ -90,22 +90,19 @@ def resolve_backend_name(name: Optional[str]) -> str:
 
 def resolve_backend(
     name: Optional[Union[str, ExecutionBackend]],
-    tasks: Sequence[TaskT],
-    worker: Callable[[TaskT], ResultT],
+    tasks: Sequence[Any],
+    kind: "SweepKind",
     workers: Optional[int] = None,
     keys: Optional[Sequence[str]] = None,
     store: Optional[Any] = None,
-    encode: Optional[Callable[[ResultT], Any]] = None,
-    decode: Optional[Callable[[Any], ResultT]] = None,
-    kind: str = "",
-    stale_claim_s: float = DEFAULT_STALE_CLAIM_S,
     counters: Optional[CounterHook] = None,
 ) -> ExecutionBackend:
     """Build the backend a sweep will actually run on.
 
     An :class:`ExecutionBackend` instance passes through untouched (for
     tests and embedders that construct their own).  A name (or None —
-    see :func:`resolve_backend_name`) selects a construction:
+    see :func:`resolve_backend_name`) selects a construction running
+    ``kind.worker``:
 
     * ``serial`` — always :class:`SerialBackend`.
     * ``process`` — :class:`ProcessPoolBackend`, except when the worker
@@ -114,13 +111,13 @@ def resolve_backend(
       and the manifest must record the truth (``workers=0`` has always
       meant in-process execution).
     * ``shared-store`` — :class:`SharedStoreBackend`; requires a result
-      store plus per-task content keys and a codec, which
-      :func:`repro.simulation.resilience.run_kind` supplies from the
-      sweep family's :class:`~repro.simulation.resilience.SweepKind`.
+      store plus per-task content keys, which
+      :func:`repro.simulation.resilience.run_kind` always supplies, and
+      publishes through the family's ``kind.encode`` / ``kind.decode``.
 
     Raises:
         SimulationError: unknown name, or ``shared-store`` without a
-            store/keys/codec.
+            store and keys.
     """
     from repro.errors import SimulationError
 
@@ -128,26 +125,25 @@ def resolve_backend(
         return name
     resolved = resolve_backend_name(name)
     if resolved == "shared-store":
-        if store is None or keys is None or encode is None or decode is None:
+        if store is None or keys is None:
             raise SimulationError(
                 "the shared-store backend coordinates through a result "
-                "store and needs per-task content keys plus a codec; run "
-                "it through run_kind with the sweep family's SweepKind"
+                "store and needs per-task content keys; run it through "
+                "run_kind, which supplies both"
             )
         return SharedStoreBackend(
             tasks,
-            worker,
+            kind.worker,
             keys=keys,
             store=store,
-            encode=encode,
-            decode=decode,
-            kind=kind,
-            stale_claim_s=stale_claim_s,
+            encode=kind.encode,
+            decode=kind.decode,
+            kind=kind.name,
             counters=counters,
         )
     from repro.simulation.sweep import resolve_workers
 
     effective = resolve_workers(workers, len(tasks))
     if resolved == "serial" or effective <= 1:
-        return SerialBackend(tasks, worker, counters=counters)
-    return ProcessPoolBackend(tasks, worker, effective, counters=counters)
+        return SerialBackend(tasks, kind.worker, counters=counters)
+    return ProcessPoolBackend(tasks, kind.worker, effective, counters=counters)

@@ -6,7 +6,7 @@ or coordinated across processes through a shared result-store directory
 — is an :class:`ExecutionBackend`.  The resilience layer
 (:mod:`repro.simulation.resilience`) sits **above** this protocol: it
 owns retries, backoff, per-task deadlines, crash blame attribution and
-the failure manifest, and drives any backend through the same five
+the failure manifest, and drives any backend through the same four
 methods.  A new backend therefore inherits the whole resilience story
 for free, and the differential determinism suite can assert that every
 backend serializes to byte-identical canonical results.
@@ -26,10 +26,6 @@ The protocol is deliberately small:
   flight but did not finish, so the caller can requeue or blame them.
   Attempts that finished before the cancel are buffered and delivered
   by the next ``progress`` call — completed work is never discarded.
-* :meth:`ExecutionBackend.result_by_key` — serve a result by content
-  key without computing it, when the backend has a medium that can
-  (the shared-store backend reads results computed by peer processes;
-  purely local backends return ``None``).
 * :meth:`ExecutionBackend.shutdown` — graceful end-of-run teardown;
   idempotent, safe after ``cancel``.
 
@@ -222,7 +218,7 @@ class ExecutionBackend(abc.ABC):
         persists_results: True when the backend itself publishes each
             completed result to the result store as part of its
             transport contract (the shared-store backend must, so peer
-            processes can read it); the caching layer then skips its own
+            processes can read it); the sweep runner then skips its own
             persist hook to avoid double writes.
     """
 
@@ -264,14 +260,6 @@ class ExecutionBackend(abc.ABC):
         next ``progress()`` call, never discarded.  After ``cancel`` the
         backend must accept fresh ``submit`` calls (a process pool
         respawns lazily).
-        """
-
-    @abc.abstractmethod
-    def result_by_key(self, key: str) -> Optional[Any]:
-        """Serve a result payload by content key without computing it.
-
-        Returns None when this backend has no medium that could know the
-        key (the purely local backends) or the key is simply absent.
         """
 
     @abc.abstractmethod

@@ -172,9 +172,6 @@ class ProcessPoolBackend(ExecutionBackend):
             self._count("sweep.backend.cancelled_total", float(len(unfinished)))
         return unfinished
 
-    def result_by_key(self, key: str) -> Optional[Any]:
-        return None
-
     def shutdown(self) -> None:
         if self._executor is not None:
             self._executor.shutdown(wait=True, cancel_futures=True)

@@ -13,7 +13,7 @@ the serial path (a deadline cannot preempt the calling thread anyway).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Deque, List, Optional, Sequence, Tuple, TypeVar
 
 from .base import (
     POLL_INTERVAL_S,
@@ -69,9 +69,6 @@ class SerialBackend(ExecutionBackend):
         if unfinished:
             self._count("sweep.backend.cancelled_total", float(len(unfinished)))
         return unfinished
-
-    def result_by_key(self, key: str) -> Optional[Any]:
-        return None
 
     def shutdown(self) -> None:
         self._queue.clear()

@@ -98,7 +98,7 @@ class SharedStoreBackend(ExecutionBackend):
 
     name = "shared-store"
     #: The backend itself publishes each computed result (step 1 above);
-    #: the caching layer must not persist again on top.
+    #: the sweep runner must not persist again on top.
     persists_results = True
 
     def __init__(
@@ -165,14 +165,7 @@ class SharedStoreBackend(ExecutionBackend):
             mtime = self._store.claim_mtime(key)
             if mtime is None:
                 # Peer released its claim: the result should be readable.
-                payload = self._store.get(key)
-                result: Optional[Any] = None
-                if payload is not None:
-                    try:
-                        result = self._decode(payload)
-                    except Exception:
-                        self._store.reject(key)
-                        result = None
+                result = self._store.load(key, self._decode)
                 del self._waiting[index]
                 if result is not None:
                     self._count("sweep.backend.peer_results_total")
@@ -238,14 +231,11 @@ class SharedStoreBackend(ExecutionBackend):
                     self._worker, self._tasks[index], index, attempt
                 )
                 if envelope.ok:
-                    try:
-                        self._store.put(
-                            key, self._encode(envelope.result), kind=self._kind
-                        )
-                    except Exception:
-                        # Publishing is an optimization for peers; losing
-                        # it must not lose our own computed result.
-                        self._store.note_put_failed()
+                    # Publishing is an optimization for peers; losing it
+                    # must not lose our own computed result.
+                    self._store.save(
+                        key, envelope.result, self._encode, kind=self._kind
+                    )
             finally:
                 del self._held_claims[index]
                 try:
@@ -281,16 +271,6 @@ class SharedStoreBackend(ExecutionBackend):
         if unfinished:
             self._count("sweep.backend.cancelled_total", float(len(unfinished)))
         return unfinished
-
-    def result_by_key(self, key: str) -> Optional[Any]:
-        payload = self._store.get(key)
-        if payload is None:
-            return None
-        try:
-            return self._decode(payload)
-        except Exception:
-            self._store.reject(key)
-            return None
 
     def shutdown(self) -> None:
         self.cancel()

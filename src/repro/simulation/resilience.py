@@ -23,13 +23,16 @@ processes shut down, no orphans), and a **failure manifest** (schema
 
 All of that is **backend-agnostic**: one loop drives an
 :class:`repro.simulation.backends.ExecutionBackend` (serial, process
-pool, or shared-store peer coordination) through the five-method
-protocol — ``submit`` / ``progress`` / ``cancel`` / ``result_by_key`` /
-``shutdown`` — so every backend, including future remote ones, gets
-retries, deadlines, blame attribution and manifests for free.  The
-resolved backend name is recorded on the report and manifest *only*; it
-never enters a store key, because the determinism contract says every
-backend produces byte-identical results for the same configuration.
+pool, or shared-store peer coordination) through the four-method
+protocol — ``submit`` / ``progress`` / ``cancel`` / ``shutdown`` — so
+every backend, including future remote ones, gets retries, deadlines,
+blame attribution and manifests for free.  The resolved backend name is
+recorded on the report and manifest *only*; it never enters a store
+key, because the determinism contract says every backend produces
+byte-identical results for the same configuration.
+
+:func:`run_kind` is the one public runner: it serves store hits, hands
+the misses to that loop and persists each computed result as it lands.
 
 Fault/retry/recovery counters are mirrored into a
 :class:`repro.telemetry.MetricsRegistry` when one is supplied, so the
@@ -51,7 +54,6 @@ from typing import (
     Sequence,
     Set,
     Tuple,
-    TypeVar,
     Union,
 )
 
@@ -69,14 +71,11 @@ from repro.simulation.backends import (
     resolve_backend_name,
 )
 
-TaskT = TypeVar("TaskT")
-ResultT = TypeVar("ResultT")
-
 #: Schema identifier of the failure manifest document.  ``/2`` added the
 #: ``backend`` field recording which execution backend actually ran.
 MANIFEST_SCHEMA = "repro.sweep_manifest/2"
 
-#: Backend spec accepted by the run functions: a name (``serial`` /
+#: Backend spec accepted by :func:`run_kind`: a name (``serial`` /
 #: ``process`` / ``shared-store``), a ready instance, or None (resolve
 #: from ``REPRO_SWEEP_BACKEND``, default ``process``).
 BackendSpec = Optional[Union[str, ExecutionBackend]]
@@ -92,14 +91,12 @@ __all__ = [
     "SweepRunReport",
     "TaskEnvelope",
     "run_kind",
-    "run_sweep_cached",
-    "run_sweep_resilient",
 ]
 
 
 @dataclass
 class SweepRunReport:
-    """Everything a resilient sweep produced, healthy or not.
+    """Everything one :func:`run_kind` sweep produced, healthy or not.
 
     ``envelopes`` is in task order; ``results()`` keeps that order with
     ``None`` holes where tasks failed, so zips against the task list stay
@@ -113,8 +110,8 @@ class SweepRunReport:
     timeouts: int = 0
     retries: int = 0
     interrupted: bool = False
-    #: result-store accounting (populated by :func:`run_sweep_cached`;
-    #: ``task_keys`` is None when the run was uncached).
+    #: result-store accounting (``task_keys`` is None when the run had
+    #: no store).
     store_hits: int = 0
     store_misses: int = 0
     task_keys: Optional[List[str]] = None
@@ -212,94 +209,8 @@ def _backoff_sleep(backoff_s: float, attempt: int) -> None:
         time.sleep(backoff_s * (2.0 ** (attempt - 2)))
 
 
-def _backend_label(backend: BackendSpec) -> str:
-    """The name a backend spec would resolve to (no construction)."""
-    if isinstance(backend, ExecutionBackend):
-        return backend.name
-    return resolve_backend_name(backend)
-
-
-def run_sweep_resilient(
-    tasks: Sequence[TaskT],
-    worker: Callable[[TaskT], ResultT],
-    workers: Optional[int] = None,
-    retries: int = 2,
-    backoff_s: float = 0.0,
-    timeout_s: Optional[float] = None,
-    telemetry: Optional[Any] = None,
-    on_result: Optional[Callable[[TaskEnvelope], None]] = None,
-    backend: BackendSpec = None,
-) -> SweepRunReport:
-    """Run a sweep that survives worker faults and returns every outcome.
-
-    Args:
-        tasks: the task list (each must be picklable for the process
-            backend, as must the worker's results).
-        worker: module-level pure task function.
-        workers: process count (None = all cores; 0/1 = serial
-            in-process, which produces identical results).
-        retries: extra attempts granted to a failed task (0 = one
-            attempt only).  Tasks that were in flight when the fabric
-            broke also consume an attempt — a task that repeatedly kills
-            its worker exhausts its budget instead of wedging the sweep.
-        backoff_s: base of the exponential backoff slept before retry
-            ``n`` (``backoff_s * 2**(n-1)``); 0 disables sleeping.
-        timeout_s: per-task deadline measured from dispatch.  Expired
-            tasks are marked ``timeout`` and their (possibly hung)
-            execution fabric is reclaimed.  Only enforced on backends
-            that report in-flight work — not on the serial path.
-        telemetry: optional :class:`repro.telemetry.Telemetry`; mirrors
-            ``sweep.*`` counters into its registry.
-        on_result: parent-side hook invoked with each *successful*
-            envelope as soon as it lands (in completion order, not task
-            order).  The result store uses this to persist results
-            incrementally, so even an interrupted run leaves its finished
-            tasks resumable.  Exceptions propagate; wrap the hook if a
-            side effect must not abort the sweep.
-        backend: backend name, instance, or None (env /
-            ``process`` default); see
-            :func:`repro.simulation.backends.resolve_backend`.  The
-            ``shared-store`` name cannot be resolved here — it needs
-            content keys and a codec, which only
-            :func:`run_sweep_cached` can supply.
-
-    Returns:
-        A :class:`SweepRunReport` with one envelope per task, in task
-        order, regardless of how many attempts or fabric respawns it
-        took.
-
-    Raises:
-        SimulationError: on invalid arguments.
-        KeyboardInterrupt: re-raised after cancelling pending work and
-            shutting the fabric down (no orphaned workers).
-    """
-    if retries < 0:
-        raise SimulationError(f"retries must be >= 0, got {retries}")
-    if backoff_s < 0:
-        raise SimulationError(f"backoff must be >= 0, got {backoff_s}")
-    if timeout_s is not None and timeout_s <= 0:
-        raise SimulationError(f"timeout must be positive, got {timeout_s}")
-    counters = _Counters(telemetry)
-    counters.count("sweep.tasks_total", float(len(tasks)))
-    if not tasks:
-        return SweepRunReport(envelopes=[], backend=_backend_label(backend))
-    resolved = resolve_backend(
-        backend, tasks, worker, workers=workers, counters=counters.count
-    )
-    counters.count(
-        "sweep.backend.selected."
-        + resolved.name.replace("-", "_")
-    )
-    report = _run_with_backend(
-        tasks, resolved, retries, backoff_s, timeout_s, counters, on_result
-    )
-    counters.count("sweep.tasks_ok", float(report.ok_count))
-    counters.count("sweep.tasks_failed_total", float(len(report.failed)))
-    return report
-
-
 def _run_with_backend(
-    tasks: Sequence[TaskT],
+    positions: Sequence[int],
     backend: ExecutionBackend,
     retries: int,
     backoff_s: float,
@@ -312,12 +223,15 @@ def _run_with_backend(
     Bookkeeping lives entirely on this side of the protocol: the backend
     only knows about ``(index, attempt)`` tickets, while retries,
     deadlines and blame stay identical across serial, process-pool and
-    shared-store execution.
+    shared-store execution.  Tickets are the caller's task positions
+    (every task, or only the store misses), so envelopes come back
+    already indexed by position and the report lists them in
+    ``positions`` order.
     """
-    envelopes: List[Optional[TaskEnvelope]] = [None] * len(tasks)
+    envelopes: Dict[int, TaskEnvelope] = {}
     report = SweepRunReport(envelopes=[], backend=backend.name)
     # Tickets not yet dispatched (or requeued for another attempt).
-    pending: Deque[Tuple[int, int]] = deque((i, 1) for i in range(len(tasks)))
+    pending: Deque[Tuple[int, int]] = deque((index, 1) for index in positions)
     # Tickets that were in flight when the fabric broke.  A dead worker
     # breaks *every* in-flight attempt, so the crash cannot be attributed
     # from the wreckage alone; suspects are re-run one at a time on a
@@ -477,171 +391,11 @@ def _run_with_backend(
         raise
     finally:
         backend.shutdown()
-    report.envelopes = [e for e in envelopes if e is not None]
-    missing = len(tasks) - len(report.envelopes)
+    report.envelopes = [envelopes[i] for i in positions if i in envelopes]
+    missing = len(positions) - len(report.envelopes)
     if missing:  # pragma: no cover - defensive; every path fills its slot
         raise SimulationError(f"{missing} sweep task(s) produced no envelope")
     return report
-
-
-# ---------------------------------------------------------------------------
-# Content-addressed memoization on top of the resilient executor
-# ---------------------------------------------------------------------------
-
-
-def run_sweep_cached(
-    tasks: Sequence[TaskT],
-    worker: Callable[[TaskT], ResultT],
-    store: Any,
-    key_fn: Callable[[TaskT], str],
-    encode: Callable[[ResultT], Any],
-    decode: Callable[[Any], ResultT],
-    kind: str = "",
-    workers: Optional[int] = None,
-    retries: int = 2,
-    backoff_s: float = 0.0,
-    timeout_s: Optional[float] = None,
-    telemetry: Optional[Any] = None,
-    backend: BackendSpec = None,
-    on_result: Optional[Callable[[TaskEnvelope], None]] = None,
-) -> SweepRunReport:
-    """Run a sweep through a :class:`repro.store.ResultStore`.
-
-    Every task key is looked up *before any worker is spawned*; hits
-    become ``cached`` ok-envelopes instantly (zero attempts), and only
-    the misses go to :func:`run_sweep_resilient`.  Each miss that
-    completes is persisted immediately (not at sweep end), so a run
-    killed halfway leaves its finished tasks behind as hits — that is
-    the whole resume story: re-running the same configuration *is* the
-    resume.
-
-    The store is consulted defensively end to end: a corrupt entry is
-    quarantined inside :meth:`ResultStore.get`; an intact entry the
-    ``decode`` codec still rejects is retired via
-    :meth:`ResultStore.reject`; a failing ``put`` (disk full, permission
-    lost mid-run) is counted as ``store.put_failed`` and the sweep
-    carries on uncached.  Cache trouble can cost recomputation, never a
-    sweep.
-
-    This is also the only entry point that can resolve the
-    ``shared-store`` backend: it owns the per-task content keys and the
-    codec that backend coordinates through.  A backend that persists
-    results itself (``persists_results``) runs without the local persist
-    hook — exactly one ``put`` per computed miss either way.
-
-    Args:
-        store: a :class:`repro.store.ResultStore`.
-        key_fn: task -> canonical content key (see
-            :func:`repro.store.config_key`).  Backend choice never
-            enters the key.
-        encode / decode: result <-> JSON-safe payload codec; ``decode``
-            must reconstruct a result indistinguishable from a computed
-            one (the differential suite asserts byte-identity).
-        kind: task-family tag stored in each envelope.
-        workers / retries / backoff_s / timeout_s / telemetry: forwarded
-            to :func:`run_sweep_resilient` for the misses.
-        backend: backend name, instance, or None (env / ``process``
-            default).
-        on_result: optional per-task progress hook, called once per ok
-            envelope with ``envelope.index`` already remapped to the
-            *original* task position: first for every store hit (in task
-            order, before any worker spawns), then for each computed
-            miss in completion order, after it has been persisted.  An
-            exception raised by the hook aborts the sweep (the backend
-            is shut down on the way out) — the job service uses exactly
-            that for graceful drain.
-
-    Returns:
-        A :class:`SweepRunReport` covering *all* tasks in task order,
-        with ``store_hits`` / ``store_misses`` / ``task_keys`` filled in
-        (so ``manifest()`` grows its store section).
-    """
-    store.bind_telemetry(telemetry)
-    keys = [key_fn(task) for task in tasks]
-    slots: List[Optional[TaskEnvelope]] = [None] * len(tasks)
-    miss_indices: List[int] = []
-    for index, key in enumerate(keys):
-        payload = store.get(key)
-        result: Optional[ResultT] = None
-        if payload is not None:
-            try:
-                result = decode(payload)
-            except Exception:
-                store.reject(key)
-                result = None
-        if result is not None:
-            slots[index] = TaskEnvelope(
-                index=index, status=STATUS_OK, result=result, cached=True
-            )
-        else:
-            miss_indices.append(index)
-    if on_result is not None:
-        # Hits are delivered to the hook up front, in task order, before
-        # the miss run starts — a fully-cached job streams all its
-        # progress without ever resolving a backend.
-        for slot in slots:
-            if slot is not None:
-                on_result(slot)
-
-    def landed(envelope: TaskEnvelope) -> None:
-        original = miss_indices[envelope.index]
-        if not persists:
-            try:
-                store.put(keys[original], encode(envelope.result), kind=kind)
-            except Exception:
-                # Persisting is an optimization; losing it must not lose
-                # the sweep.  The counter makes the silence observable.
-                store.note_put_failed()
-        if on_result is not None:
-            # Remap to the caller's task numbering before surfacing; the
-            # positional remap after the sub-run assigns the same value.
-            envelope.index = original
-            on_result(envelope)
-
-    miss_tasks = [tasks[i] for i in miss_indices]
-    counters = _Counters(telemetry)
-    resolved: BackendSpec = backend
-    if miss_tasks and not isinstance(backend, ExecutionBackend):
-        resolved = resolve_backend(
-            backend,
-            miss_tasks,
-            worker,
-            workers=workers,
-            keys=[keys[i] for i in miss_indices],
-            store=store,
-            encode=encode,
-            decode=decode,
-            kind=kind,
-            counters=counters.count,
-        )
-    persists = isinstance(resolved, ExecutionBackend) and resolved.persists_results
-    needs_hook = on_result is not None or not persists
-    sub = run_sweep_resilient(
-        miss_tasks,
-        worker,
-        workers=workers,
-        retries=retries,
-        backoff_s=backoff_s,
-        timeout_s=timeout_s,
-        telemetry=telemetry,
-        on_result=landed if needs_hook else None,
-        backend=resolved,
-    )
-    for envelope, original in zip(sub.envelopes, miss_indices):
-        envelope.index = original
-        slots[original] = envelope
-    hit_count = len(tasks) - len(miss_indices)
-    return SweepRunReport(
-        envelopes=[slot for slot in slots if slot is not None],
-        pool_breaks=sub.pool_breaks,
-        timeouts=sub.timeouts,
-        retries=sub.retries,
-        interrupted=sub.interrupted,
-        store_hits=hit_count,
-        store_misses=len(miss_indices),
-        task_keys=keys,
-        backend=sub.backend,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -694,40 +448,142 @@ def run_kind(
     backend: BackendSpec = None,
     on_result: Optional[Callable[[TaskEnvelope], None]] = None,
 ) -> SweepRunReport:
-    """Run one sweep family's tasks: the single entry point of every caller.
+    """Run one sweep family's tasks: the one sweep runner of every caller.
 
-    Plans the worker count (``kind.plan_workers``), settles the store —
-    the ``shared-store`` backend coordinates *through* a store, so
-    selecting it without one materializes the default store
-    (``REPRO_STORE_DIR``, else ``~/.cache/repro``) — and then runs cached
-    (:func:`run_sweep_cached`) when a store is in play, resilient
-    (:func:`run_sweep_resilient`) otherwise.  Task failures never raise;
-    strict callers follow up with :meth:`SweepRunReport.raise_on_failure`.
+    Every task key is looked up in the store (when one is in play)
+    *before any backend is built*: hits become ``cached`` ok-envelopes
+    with zero attempts, and only the misses are computed.  Each computed
+    miss is persisted as soon as it lands, so a run killed halfway
+    leaves its finished tasks behind as hits — re-running the same
+    configuration *is* the resume.  Cache trouble costs recomputation,
+    never a sweep: a corrupt entry is quarantined by the store, one the
+    codec refuses is rejected (:meth:`repro.store.ResultStore.load`),
+    and a failing put is counted, not raised
+    (:meth:`repro.store.ResultStore.save`).  Task failures never raise
+    either; strict callers follow up with
+    :meth:`SweepRunReport.raise_on_failure`.
+
+    Args:
+        kind: the sweep family (worker, store key and payload codec).
+        tasks: the task list (each must be picklable for the process
+            backend, as must the worker's results).
+        store: optional :class:`repro.store.ResultStore`.  The
+            ``shared-store`` backend coordinates *through* a store, so
+            selecting it without one opens the default store
+            (``REPRO_STORE_DIR``, else ``~/.cache/repro``).
+        workers: process count (None = all cores; 0/1 = serial
+            in-process, which produces identical results), first passed
+            through ``kind.plan_workers`` when the family has one.
+        retries: extra attempts granted to a failed task (0 = one
+            attempt only).  Tasks that were in flight when the fabric
+            broke also consume an attempt — a task that repeatedly kills
+            its worker exhausts its budget instead of wedging the sweep.
+        backoff_s: base of the exponential backoff slept before retry
+            ``n`` (``backoff_s * 2**(n-1)``); 0 disables sleeping.
+        timeout_s: per-task deadline measured from dispatch.  Expired
+            tasks are marked ``timeout`` and their (possibly hung)
+            execution fabric is reclaimed.  Only enforced on backends
+            that report in-flight work — not on the serial path.
+        telemetry: optional :class:`repro.telemetry.Telemetry`; mirrors
+            the ``sweep.*`` counters (over the computed tasks) and the
+            store's ``store.*`` counters into its registry.
+        backend: backend name, instance, or None (env / ``process``
+            default); see :func:`repro.simulation.backends.resolve_backend`.
+            The resolved name lands on the report, never in a key.
+        on_result: parent-side hook called once per ok envelope, with
+            ``envelope.index`` the task's position: first for every store
+            hit (in task order, before any backend is built), then for
+            each computed task in completion order, after it has been
+            persisted.  An exception raised by the hook aborts the sweep
+            (the backend is shut down on the way out) — the job service
+            uses exactly that for graceful drain.
+
+    Returns:
+        A :class:`SweepRunReport` with one envelope per task, in task
+        order, regardless of how many attempts or fabric respawns it
+        took; with a store, ``store_hits`` / ``store_misses`` /
+        ``task_keys`` are filled in too.
+
+    Raises:
+        SimulationError: on invalid arguments.
+        KeyboardInterrupt: re-raised after cancelling pending work and
+            shutting the fabric down (no orphaned workers).
     """
+    if retries < 0:
+        raise SimulationError(f"retries must be >= 0, got {retries}")
+    if backoff_s < 0:
+        raise SimulationError(f"backoff must be >= 0, got {backoff_s}")
+    if timeout_s is not None and timeout_s <= 0:
+        raise SimulationError(f"timeout must be positive, got {timeout_s}")
     if kind.plan_workers is not None:
         workers = kind.plan_workers(tasks, workers)
-    if store is None and _backend_label(backend) == "shared-store":
+    label = (
+        backend.name
+        if isinstance(backend, ExecutionBackend)
+        else resolve_backend_name(backend)
+    )
+    if store is None and label == "shared-store":
         from repro.store import ResultStore
 
         store = ResultStore()
-    knobs: Dict[str, Any] = dict(
-        workers=workers,
-        retries=retries,
-        backoff_s=backoff_s,
-        timeout_s=timeout_s,
-        telemetry=telemetry,
-        backend=backend,
-        on_result=on_result,
-    )
-    if store is None:
-        return run_sweep_resilient(tasks, kind.worker, **knobs)
-    return run_sweep_cached(
-        tasks,
-        kind.worker,
-        store,
-        kind.key,
-        kind.encode,
-        kind.decode,
-        kind=kind.name,
-        **knobs,
-    )
+    slots: List[Optional[TaskEnvelope]] = [None] * len(tasks)
+    keys: List[str] = []
+    if store is not None:
+        store.bind_telemetry(telemetry)
+        keys = [kind.key(task) for task in tasks]
+        for index, key in enumerate(keys):
+            result = store.load(key, kind.decode)
+            if result is not None:
+                slots[index] = TaskEnvelope(index=index, result=result, cached=True)
+        if on_result is not None:
+            for slot in slots:
+                if slot is not None:
+                    on_result(slot)
+    misses = [index for index, slot in enumerate(slots) if slot is None]
+    counters = _Counters(telemetry)
+    counters.count("sweep.tasks_total", float(len(misses)))
+    report = SweepRunReport(envelopes=[], backend=label)
+    if misses:
+        from repro.simulation.sweep import resolve_workers
+
+        # The backend sees the whole task list (tickets are positions),
+        # but its fabric is sized for the misses alone.
+        resolved = resolve_backend(
+            backend,
+            tasks,
+            kind,
+            workers=resolve_workers(workers, len(misses)),
+            keys=keys if store is not None else None,
+            store=store,
+            counters=counters.count,
+        )
+        counters.count("sweep.backend.selected." + resolved.name.replace("-", "_"))
+        save = (
+            store.save
+            if store is not None and not resolved.persists_results
+            else None
+        )
+
+        def landed(envelope: TaskEnvelope) -> None:
+            if save is not None:
+                save(
+                    keys[envelope.index], envelope.result, kind.encode,
+                    kind=kind.name,
+                )
+            if on_result is not None:
+                on_result(envelope)
+
+        report = _run_with_backend(
+            misses, resolved, retries, backoff_s, timeout_s, counters,
+            landed if save is not None or on_result is not None else None,
+        )
+        counters.count("sweep.tasks_ok", float(report.ok_count))
+        counters.count("sweep.tasks_failed_total", float(len(report.failed)))
+    for envelope in report.envelopes:
+        slots[envelope.index] = envelope
+    report.envelopes = [slot for slot in slots if slot is not None]
+    if store is not None:
+        report.store_hits = len(tasks) - len(misses)
+        report.store_misses = len(misses)
+        report.task_keys = keys
+    return report

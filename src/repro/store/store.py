@@ -36,7 +36,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import StoreError
 from repro.store.canonical import (
@@ -292,9 +292,9 @@ class ResultStore:
     def bind_telemetry(self, telemetry: Optional[Any]) -> None:
         """Attach a telemetry handle if the store doesn't have one yet.
 
-        The cached sweep runner calls this so a store constructed without
-        instrumentation still mirrors its ``store.*`` counters into the
-        run's registry.
+        The sweep runner (``run_kind``) calls this so a store constructed
+        without instrumentation still mirrors its ``store.*`` counters
+        into the run's registry.
         """
         from repro.telemetry import maybe
 
@@ -370,9 +370,39 @@ class ResultStore:
             except OSError:  # pragma: no cover - nothing left to do
                 pass
 
-    def note_put_failed(self) -> None:
-        """Count a persist attempt that failed (disk full, perms, ...)."""
-        self._count("store.put_failed")
+    def load(self, key: str, decode: Callable[[Any], Any]) -> Optional[Any]:
+        """:meth:`get` one payload and ``decode`` it; None on a miss.
+
+        An intact entry the codec refuses is :meth:`reject`-ed, so the
+        caller recomputes instead of being served it again.
+        """
+        payload = self.get(key)
+        if payload is None:
+            return None
+        try:
+            return decode(payload)
+        except Exception:
+            self.reject(key)
+            return None
+
+    def save(
+        self,
+        key: str,
+        value: Any,
+        encode: Optional[Callable[[Any], Any]] = None,
+        kind: str = "",
+    ) -> None:
+        """:meth:`put` ``encode(value)`` (or ``value``), never raising.
+
+        Persisting is an optimization: a failing encode or write (disk
+        full, permission lost mid-run) is counted as ``store.put_failed``
+        instead of raised, so cache trouble costs recomputation later,
+        never the caller's run.
+        """
+        try:
+            self.put(key, value if encode is None else encode(value), kind=kind)
+        except Exception:
+            self._count("store.put_failed")
 
     def reject(self, key: str) -> None:
         """Quarantine an entry whose decoded *meaning* a caller refused.

@@ -2,7 +2,7 @@
 
 Every backend (serial, process, shared-store) is driven two ways:
 
-* **through the resilience layer** (``run_sweep_resilient(backend=...)``),
+* **through the sweep runner** (``run_kind(..., backend=...)``),
   proving retries, deadlines, blame attribution and manifests really are
   backend-agnostic — the same knobs produce the same outcomes on every
   fabric; and
@@ -34,12 +34,9 @@ from repro.simulation.backends import (
     resolve_backend,
     resolve_backend_name,
 )
-from repro.simulation.resilience import (
-    MANIFEST_SCHEMA,
-    run_sweep_cached,
-    run_sweep_resilient,
-)
+from repro.simulation.resilience import MANIFEST_SCHEMA, run_kind
 from repro.store import ResultStore, config_key
+from tests.sweep_kinds import plain_kind
 
 # ---------------------------------------------------------------------------
 # Module-level workers (must pickle under any start method)
@@ -77,8 +74,12 @@ def _identity(payload: object) -> object:
     return payload
 
 
-def _task_key(index: int) -> str:
-    return config_key("backend_conformance", {"index": index})
+def _task_key(task: int) -> str:
+    return config_key("backend_conformance", {"task": task})
+
+
+def _conformance_store(tmp_path) -> ResultStore:
+    return ResultStore(root=tmp_path / "conformance-store")
 
 
 def _make_backend(name, tasks, worker, tmp_path, **shared_kwargs):
@@ -87,12 +88,11 @@ def _make_backend(name, tasks, worker, tmp_path, **shared_kwargs):
         return SerialBackend(tasks, worker)
     if name == "process":
         return ProcessPoolBackend(tasks, worker, workers=2)
-    store = ResultStore(root=tmp_path / "conformance-store")
     return SharedStoreBackend(
         tasks,
         worker,
-        keys=[_task_key(i) for i in range(len(tasks))],
-        store=store,
+        keys=[_task_key(task) for task in tasks],
+        store=_conformance_store(tmp_path),
         encode=_identity,
         decode=_identity,
         kind="backend_conformance",
@@ -100,8 +100,23 @@ def _make_backend(name, tasks, worker, tmp_path, **shared_kwargs):
     )
 
 
+def _run(backend, tasks, worker, tmp_path, **knobs):
+    """Drive a ready backend through ``run_kind``.
+
+    A shared-store backend coordinates through the conformance store, so
+    the runner is handed that store (keyed the same way) instead of
+    opening the default one.
+    """
+    shared = backend.name == "shared-store"
+    return run_kind(
+        plain_kind(worker, key=_task_key), tasks,
+        store=_conformance_store(tmp_path) if shared else None,
+        backend=backend, **knobs,
+    )
+
+
 # ---------------------------------------------------------------------------
-# Conformance through the resilience layer
+# Conformance through the sweep runner
 # ---------------------------------------------------------------------------
 
 
@@ -109,7 +124,7 @@ def _make_backend(name, tasks, worker, tmp_path, **shared_kwargs):
 def test_backend_runs_a_healthy_sweep(name, tmp_path):
     tasks = [0, 1, 2, 3, 4, 5]
     backend = _make_backend(name, tasks, _square, tmp_path)
-    report = run_sweep_resilient(tasks, _square, backend=backend)
+    report = _run(backend, tasks, _square, tmp_path)
     assert report.backend == name
     assert report.results() == [x * x for x in tasks]
     assert [e.index for e in report.envelopes] == list(range(len(tasks)))
@@ -122,9 +137,7 @@ def test_retry_budget_is_isolated_per_task(name, tmp_path):
     """One task exhausting its budget must not steal attempts from others."""
     tasks = [-1, 3, -2, 4]
     backend = _make_backend(name, tasks, _raise_if_negative, tmp_path)
-    report = run_sweep_resilient(
-        tasks, _raise_if_negative, backend=backend, retries=2
-    )
+    report = _run(backend, tasks, _raise_if_negative, tmp_path, retries=2)
     failed = {e.index: e for e in report.failed}
     assert set(failed) == {0, 2}
     for envelope in failed.values():
@@ -151,23 +164,19 @@ def test_worker_failure_mid_sweep_per_backend(name, tmp_path):
     tasks = [1, -1, 2]
     if name == "process":
         backend = _make_backend(name, tasks, _exit_if_negative, tmp_path)
-        report = run_sweep_resilient(
-            tasks, _exit_if_negative, backend=backend, retries=0
-        )
+        report = _run(backend, tasks, _exit_if_negative, tmp_path, retries=0)
         assert report.pool_breaks >= 1
         blamed = {e.index: e for e in report.failed}
         assert set(blamed) == {1}
         assert blamed[1].error_type == "BrokenProcessPool"
     else:
         backend = _make_backend(name, tasks, _raise_if_negative, tmp_path)
-        report = run_sweep_resilient(
-            tasks, _raise_if_negative, backend=backend, retries=0
-        )
+        report = _run(backend, tasks, _raise_if_negative, tmp_path, retries=0)
         assert {e.index for e in report.failed} == {1}
     ok = {e.index: e.result for e in report.envelopes if e.ok}
     assert ok == {0: 1, 2: 2}
     if name == "shared-store":
-        claims = ResultStore(root=tmp_path / "conformance-store").claims_dir
+        claims = _conformance_store(tmp_path).claims_dir
         leaked = list(claims.glob("*.claim")) if claims.is_dir() else []
         assert leaked == [], "failed attempts must release their claims"
 
@@ -175,8 +184,8 @@ def test_worker_failure_mid_sweep_per_backend(name, tmp_path):
 def test_deadline_expires_hung_process_worker(tmp_path):
     tasks = [-1, 5]
     backend = _make_backend("process", tasks, _hang_if_negative, tmp_path)
-    report = run_sweep_resilient(
-        tasks, _hang_if_negative, backend=backend, retries=0, timeout_s=0.5
+    report = _run(
+        backend, tasks, _hang_if_negative, tmp_path, retries=0, timeout_s=0.5
     )
     assert report.timeouts == 1
     timed_out = {e.index: e for e in report.failed}
@@ -188,17 +197,15 @@ def test_deadline_expires_hung_process_worker(tmp_path):
 def test_deadline_expires_silent_shared_store_peer(tmp_path):
     """A ticket waiting on a peer that never delivers times out like any
     other task — the deadline applies to peer-waits too."""
-    store = ResultStore(root=tmp_path)
-    key = _task_key(0)
+    store = _conformance_store(tmp_path)
+    key = _task_key(9)
     backend = SharedStoreBackend(
         [9], _square, keys=[key], store=store,
         encode=_identity, decode=_identity,
         stale_claim_s=3600.0,  # the claim must stay "fresh" forever
     )
     assert store.try_claim(key)  # the silent peer
-    report = run_sweep_resilient(
-        [9], _square, backend=backend, retries=0, timeout_s=0.4
-    )
+    report = _run(backend, [9], _square, tmp_path, retries=0, timeout_s=0.4)
     assert report.timeouts == 1
     assert report.failed[0].status == "timeout"
 
@@ -208,8 +215,8 @@ def test_serial_backend_does_not_enforce_deadlines(tmp_path):
     flight, preserving the long-standing no-deadline contract there."""
     tasks = [3]
     backend = _make_backend("serial", tasks, _slow_square, tmp_path)
-    report = run_sweep_resilient(
-        tasks, _slow_square, backend=backend, retries=0, timeout_s=0.05
+    report = _run(
+        backend, tasks, _slow_square, tmp_path, retries=0, timeout_s=0.05
     )
     assert report.timeouts == 0
     assert report.results() == [9]
@@ -218,9 +225,9 @@ def test_serial_backend_does_not_enforce_deadlines(tmp_path):
 def test_zero_worker_process_request_resolves_to_serial():
     """``workers=0`` has always meant in-process execution; the resolved
     backend (and the manifest) must record what actually ran."""
-    resolved = resolve_backend("process", [1, 2], _square, workers=0)
+    resolved = resolve_backend("process", [1, 2], plain_kind(_square), workers=0)
     assert resolved.name == "serial"
-    report = run_sweep_resilient([1, 2], _square, workers=0, backend="process")
+    report = run_kind(plain_kind(_square), [1, 2], workers=0, backend="process")
     assert report.backend == "serial"
     assert report.results() == [1, 4]
 
@@ -350,15 +357,14 @@ def test_shared_store_adopts_peer_results(tmp_path):
     envelope = second.completions[0].envelope
     assert envelope.ok and envelope.result == 49
     assert envelope.cached and envelope.attempts == 0
-    assert backend.result_by_key(key) == 49
     backend.shutdown()
 
 
 def test_shared_store_recovers_from_stale_claim(tmp_path):
     """A claim left behind by a dead peer (old mtime, no result) is
     broken after ``stale_claim_s`` and the task recomputed locally."""
-    store = ResultStore(root=tmp_path)
-    key = _task_key(0)
+    store = _conformance_store(tmp_path)
+    key = _task_key(6)
     assert store.try_claim(key)
     ancient = time.time() - 3600.0
     os.utime(store.claim_path(key), (ancient, ancient))
@@ -366,7 +372,7 @@ def test_shared_store_recovers_from_stale_claim(tmp_path):
         [6], _square, keys=[key], store=store,
         encode=_identity, decode=_identity, stale_claim_s=1.0,
     )
-    report = run_sweep_resilient([6], _square, backend=backend, timeout_s=30.0)
+    report = _run(backend, [6], _square, tmp_path, retries=2, timeout_s=30.0)
     assert report.results() == [36]
     assert not report.failed
     assert report.envelopes[0].cached is False, "recomputed, not adopted"
@@ -473,26 +479,34 @@ def test_break_claim_if_stale_requires_unchanged_mtime(tmp_path):
     assert store.break_claim_if_stale(key, later) is False
 
 
-def test_run_sweep_cached_shared_store_persists_exactly_once(tmp_path):
+def test_run_kind_shared_store_persists_exactly_once(tmp_path):
     """``persists_results`` backends publish inside the transport; the
-    caching layer must not put a second copy."""
+    runner must not put a second copy."""
     store = ResultStore(root=tmp_path)
     tasks = [2, 3]
-    keys = [_task_key(i) for i in range(len(tasks))]
-    backend = SharedStoreBackend(
-        tasks, _square, keys=keys, store=store,
-        encode=_identity, decode=_identity, kind="backend_conformance",
-    )
-    report = run_sweep_cached(
-        tasks, _square, store,
-        key_fn=lambda t: keys[tasks.index(t)],
-        encode=_identity, decode=_identity,
-        kind="backend_conformance", backend=backend,
+    report = run_kind(
+        plain_kind(_square), tasks, store=store, backend="shared-store"
     )
     assert report.results() == [4, 9]
     assert report.backend == "shared-store"
     assert store.puts == len(tasks), "exactly one put per computed miss"
     assert store.misses == len(tasks) and store.hits == 0
+
+
+def test_ready_backend_with_partial_store_hits_runs_the_misses(tmp_path):
+    """A ready backend is built over the caller's whole task list: when
+    the store serves some tasks, each miss must still run its own task
+    (and persist its own result)."""
+    store = ResultStore(root=tmp_path)
+    kind = plain_kind(_square)
+    run_kind(kind, [3], store=store, backend="serial")  # task 3 is now a hit
+    tasks = [2, 3, 4]
+    report = run_kind(
+        kind, tasks, store=store, backend=SerialBackend(tasks, _square)
+    )
+    assert report.results() == [4, 9, 16]
+    assert [e.cached for e in report.envelopes] == [False, True, False]
+    assert store.load(kind.key(4), kind.decode) == 16
 
 
 # ---------------------------------------------------------------------------
@@ -521,4 +535,4 @@ def test_resolve_backend_name_rejects_unknown(monkeypatch):
 
 def test_shared_store_needs_store_and_codec():
     with pytest.raises(SimulationError, match="shared-store"):
-        run_sweep_resilient([1, 2], _square, backend="shared-store")
+        resolve_backend("shared-store", [1, 2], plain_kind(_square))

@@ -152,6 +152,32 @@ def test_analytic_ladder_at_least_ten_times_faster_than_exact():
     assert speedup >= 10.0, f"analytic ladder only {speedup:.1f}x faster"
 
 
+def test_vectorized_ladder_faster_than_exact():
+    """The vectorized engine's reason to exist: a 4-rung oltp ladder
+    replays >= 1.5x faster than on the exact engine, the margin below
+    which its duplicate event loop should be deleted.  Process CPU time,
+    serial on both sides; one warm-up ladder per engine, then interleaved
+    repetitions on fresh seeds (so no side reuses a cached trace), each
+    side taking its minimum."""
+
+    def ladder_cpu_s(engine, seed):
+        start = time.process_time()
+        results = sweep_workloads(["oltp"], rpm_steps=4, requests=4000,
+                                  seed=seed, workers=0, engine=engine)
+        elapsed = time.process_time() - start
+        assert {r.engine for r in results} == {engine}
+        return elapsed
+
+    for engine in ("exact", "vectorized"):
+        ladder_cpu_s(engine, seed=1)
+    exact_s, vectorized_s = [], []
+    for seed in (2, 3, 4):
+        exact_s.append(ladder_cpu_s("exact", seed))
+        vectorized_s.append(ladder_cpu_s("vectorized", seed))
+    speedup = min(exact_s) / min(vectorized_s)
+    assert speedup >= 1.5, f"vectorized ladder only {speedup:.2f}x faster"
+
+
 @pytest.mark.parametrize(
     "workload, fragment",
     [

@@ -10,9 +10,10 @@ import json
 import os
 
 from repro.faults import FaultConfig
-from repro.simulation.resilience import MANIFEST_SCHEMA, run_sweep_resilient
+from repro.simulation.resilience import MANIFEST_SCHEMA, run_kind
 from repro.simulation.sweep import _run_workload_task, build_workload_tasks
 from repro.telemetry import Telemetry
+from tests.sweep_kinds import plain_kind
 
 #: Which task (by position) kills its worker process.
 VICTIM_INDEX = 1
@@ -36,9 +37,9 @@ def test_injected_sweep_survives_worker_crash():
     )
     assert len(tasks) == 4
     telemetry = Telemetry()
-    report = run_sweep_resilient(
+    report = run_kind(
+        plain_kind(_run_or_die),
         list(enumerate(tasks)),
-        _run_or_die,
         workers=2,
         retries=0,
         telemetry=telemetry,
@@ -87,8 +88,8 @@ def test_injected_sweep_results_match_crash_free_run():
         fault_config=FaultConfig(seed=6, media_rate=0.05),
     )
     clean = [_run_workload_task(task) for task in tasks]
-    report = run_sweep_resilient(
-        list(enumerate(tasks)), _run_or_die, workers=2, retries=0
+    report = run_kind(
+        plain_kind(_run_or_die), list(enumerate(tasks)), workers=2, retries=0
     )
     for envelope in report.envelopes:
         if envelope.ok:

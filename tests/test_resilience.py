@@ -18,8 +18,9 @@ from repro.simulation.resilience import (
     STATUS_TIMEOUT,
     SweepRunReport,
     TaskEnvelope,
-    run_sweep_resilient,
+    run_kind,
 )
+from tests.sweep_kinds import plain_kind
 
 
 def _square(x):
@@ -56,18 +57,18 @@ def _fail_until_marker(arg):
 
 class TestSerialPath:
     def test_all_ok(self):
-        report = run_sweep_resilient([1, 2, 3], _square, workers=1)
+        report = run_kind(plain_kind(_square), [1, 2, 3], workers=1)
         assert report.ok_results() == [1, 4, 9]
         assert report.results() == [1, 4, 9]
         assert not report.failed
 
     def test_empty(self):
-        report = run_sweep_resilient([], _square, workers=1)
+        report = run_kind(plain_kind(_square), [], workers=1)
         assert report.envelopes == []
 
     def test_error_captured_with_traceback(self):
-        report = run_sweep_resilient(
-            [2, -1, 3], _raise_if_negative, workers=1, retries=0
+        report = run_kind(
+            plain_kind(_raise_if_negative), [2, -1, 3], workers=1, retries=0
         )
         assert report.results() == [4, None, 9]
         (failure,) = report.failed
@@ -79,38 +80,40 @@ class TestSerialPath:
 
     def test_retry_recovers_transient_failure(self, tmp_path):
         marker = str(tmp_path / "attempted")
-        report = run_sweep_resilient(
-            [(3, marker)], _fail_until_marker, workers=1, retries=1
+        report = run_kind(
+            plain_kind(_fail_until_marker), [(3, marker)], workers=1, retries=1
         )
         assert report.ok_results() == [9]
         assert report.envelopes[0].attempts == 2
         assert report.retries == 1
 
     def test_retry_budget_exhausts(self):
-        report = run_sweep_resilient([-1], _raise_if_negative, workers=1, retries=2)
+        report = run_kind(
+            plain_kind(_raise_if_negative), [-1], workers=1, retries=2
+        )
         (failure,) = report.failed
         assert failure.attempts == 3
 
     def test_invalid_arguments(self):
         with pytest.raises(SimulationError):
-            run_sweep_resilient([1], _square, retries=-1)
+            run_kind(plain_kind(_square), [1], retries=-1)
         with pytest.raises(SimulationError):
-            run_sweep_resilient([1], _square, backoff_s=-0.1)
+            run_kind(plain_kind(_square), [1], backoff_s=-0.1)
         with pytest.raises(SimulationError):
-            run_sweep_resilient([1], _square, timeout_s=0.0)
+            run_kind(plain_kind(_square), [1], timeout_s=0.0)
 
 
 class TestParallelPath:
     def test_parallel_matches_serial(self):
         tasks = list(range(12))
-        serial = run_sweep_resilient(tasks, _square, workers=1)
-        parallel = run_sweep_resilient(tasks, _square, workers=2)
+        serial = run_kind(plain_kind(_square), tasks, workers=1)
+        parallel = run_kind(plain_kind(_square), tasks, workers=2)
         assert serial.ok_results() == parallel.ok_results()
 
     def test_worker_raises_other_tasks_survive(self):
         tasks = [1, 2, -1, 4, 5]
-        report = run_sweep_resilient(
-            tasks, _raise_if_negative, workers=2, retries=0
+        report = run_kind(
+            plain_kind(_raise_if_negative), tasks, workers=2, retries=0
         )
         assert report.results() == [1, 4, None, 16, 25]
         (failure,) = report.failed
@@ -121,8 +124,8 @@ class TestParallelPath:
         """A task that kills its worker process must not take the sweep
         (or any healthy point) down with it."""
         tasks = [1, 2, 3, -1, 5, 6, 7, 8]
-        report = run_sweep_resilient(
-            tasks, _exit_if_negative, workers=2, retries=0
+        report = run_kind(
+            plain_kind(_exit_if_negative), tasks, workers=2, retries=0
         )
         assert report.pool_breaks >= 1
         assert report.results() == [1, 4, 9, None, 25, 36, 49, 64]
@@ -134,8 +137,8 @@ class TestParallelPath:
         """Tasks in flight when a neighbour breaks the pool are requeued
         at their current attempt count and still complete."""
         tasks = [-1] + list(range(1, 10))
-        report = run_sweep_resilient(
-            tasks, _exit_if_negative, workers=2, retries=0
+        report = run_kind(
+            plain_kind(_exit_if_negative), tasks, workers=2, retries=0
         )
         assert report.ok_count == 9
         for envelope in report.envelopes:
@@ -144,8 +147,9 @@ class TestParallelPath:
 
     def test_timeout_marks_task_and_survivors_complete(self):
         tasks = [1, -1, 3, 4]
-        report = run_sweep_resilient(
-            tasks, _hang_if_negative, workers=2, retries=0, timeout_s=1.0
+        report = run_kind(
+            plain_kind(_hang_if_negative), tasks,
+            workers=2, retries=0, timeout_s=1.0,
         )
         assert report.timeouts >= 1
         assert report.results() == [1, None, 9, 16]
@@ -157,8 +161,9 @@ class TestParallelPath:
         from repro.telemetry import Telemetry
 
         tel = Telemetry()
-        report = run_sweep_resilient(
-            [1, -1, 3], _raise_if_negative, workers=2, retries=1, telemetry=tel
+        report = run_kind(
+            plain_kind(_raise_if_negative), [1, -1, 3],
+            workers=2, retries=1, telemetry=tel,
         )
         assert len(report.failed) == 1
 
@@ -177,8 +182,8 @@ class TestStrictFrontEnd:
     """``raise_on_failure`` is how strict callers of the runner fail."""
 
     def test_run_sweep_raises_typed_error_with_traceback(self):
-        report = run_sweep_resilient(
-            [1, -1], _raise_if_negative, workers=1, retries=0
+        report = run_kind(
+            plain_kind(_raise_if_negative), [1, -1], workers=1, retries=0
         )
         with pytest.raises(SweepExecutionError) as excinfo:
             report.raise_on_failure()
@@ -186,15 +191,15 @@ class TestStrictFrontEnd:
         assert "injected failure" in excinfo.value.traceback_text
 
     def test_run_sweep_unchanged_on_success(self):
-        report = run_sweep_resilient([2, 3], _square, workers=1, retries=0)
+        report = run_kind(plain_kind(_square), [2, 3], workers=1, retries=0)
         report.raise_on_failure()
         assert report.ok_results() == [4, 9]
 
 
 class TestManifest:
     def test_manifest_names_failed_task(self):
-        report = run_sweep_resilient(
-            [1, -1, 3], _raise_if_negative, workers=1, retries=0
+        report = run_kind(
+            plain_kind(_raise_if_negative), [1, -1, 3], workers=1, retries=0
         )
         manifest = report.manifest(task_labels=["a", "b", "c"])
         assert manifest["schema"] == MANIFEST_SCHEMA
@@ -209,7 +214,9 @@ class TestManifest:
     def test_manifest_is_json_serializable(self):
         import json
 
-        report = run_sweep_resilient([-1], _raise_if_negative, workers=1)
+        report = run_kind(
+            plain_kind(_raise_if_negative), [-1], workers=1, retries=2
+        )
         text = json.dumps(report.manifest(), allow_nan=False)
         assert json.loads(text)["tasks_failed"] == 1
 

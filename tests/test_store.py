@@ -18,14 +18,13 @@ from typing import Optional, Tuple
 import pytest
 
 from repro.errors import StoreError
-from repro.simulation.resilience import run_sweep_cached
+from repro.simulation.resilience import run_kind
 from repro.simulation.sweep import (
     WORKLOAD_TASK_KIND,
-    _run_workload_task,
     build_workload_tasks,
     results_json_bytes,
-    workload_result_from_payload,
     workload_result_to_payload,
+    workload_sweep_kind,
     workload_task_key,
 )
 from repro.store import (
@@ -161,29 +160,17 @@ class TestCorruptionRecovery:
         tasks = build_workload_tasks(["tpcc"], rpms=[10000.0], requests=120)
         tel = Telemetry()
         store.bind_telemetry(tel)
-        report = run_sweep_cached(
-            tasks, _run_workload_task, store, workload_task_key,
-            workload_result_to_payload, workload_result_from_payload,
-            kind=WORKLOAD_TASK_KIND, workers=0,
-        )
+        report = run_kind(workload_sweep_kind(), tasks, store=store, workers=0)
         (clean,) = report.ok_results()
         self._flip_bit(store.path_for(workload_task_key(tasks[0])))
-        report = run_sweep_cached(
-            tasks, _run_workload_task, store, workload_task_key,
-            workload_result_to_payload, workload_result_from_payload,
-            kind=WORKLOAD_TASK_KIND, workers=0,
-        )
+        report = run_kind(workload_sweep_kind(), tasks, store=store, workers=0)
         (recomputed,) = report.ok_results()
         assert recomputed == clean
         assert report.store_hits == 0 and report.store_misses == 1
         assert store.corrupt == 1
         assert tel.registry.counter("store.corrupt").value == 1
         # ...and the recomputation re-persisted the entry: third run hits.
-        report = run_sweep_cached(
-            tasks, _run_workload_task, store, workload_task_key,
-            workload_result_to_payload, workload_result_from_payload,
-            kind=WORKLOAD_TASK_KIND, workers=0,
-        )
+        report = run_kind(workload_sweep_kind(), tasks, store=store, workers=0)
         assert report.store_hits == 1
 
     def test_verify_quarantines_and_reports(self, store):
@@ -204,6 +191,31 @@ class TestCorruptionRecovery:
         store.reject(key)
         assert store.get(key) is None
         assert store.stats().quarantined == 1
+
+    def test_load_rejects_an_entry_the_codec_refuses(self, store):
+        key = _key()
+        store.put(key, {"value": 1})
+        assert store.load(key, lambda payload: payload["value"]) == 1
+
+        def refuse(payload):
+            raise KeyError("field missing")
+
+        assert store.load(key, refuse) is None
+        assert store.stats().quarantined == 1
+        assert store.load(key, lambda payload: payload) is None
+
+    def test_save_counts_a_failed_put_instead_of_raising(self, store):
+        tel = Telemetry()
+        store.bind_telemetry(tel)
+
+        def broken(value):
+            raise OSError("disk full")
+
+        store.save(_key(0), {"value": 1}, broken)
+        store.save(_key(1), {"value": 2})
+        assert tel.registry.counter("store.put_failed").value == 1
+        assert store.get(_key(0)) is None
+        assert store.get(_key(1)) == {"value": 2}
 
 
 class TestGC:
@@ -416,21 +428,13 @@ class TestRecordCodec:
 
     def test_stale_entry_is_rejected_and_recomputed(self, store):
         tasks = build_workload_tasks(["tpcc"], rpms=[10000.0], requests=120)
-        cold = run_sweep_cached(
-            tasks, _run_workload_task, store, workload_task_key,
-            workload_result_to_payload, workload_result_from_payload,
-            kind=WORKLOAD_TASK_KIND, workers=0,
-        )
+        cold = run_kind(workload_sweep_kind(), tasks, store=store, workers=0)
         key = workload_task_key(tasks[0])
         stale = workload_result_to_payload(cold.ok_results()[0])
         del stale["engine"]  # an entry written before a field existed
         store.put(key, stale, kind=WORKLOAD_TASK_KIND)
 
-        report = run_sweep_cached(
-            tasks, _run_workload_task, store, workload_task_key,
-            workload_result_to_payload, workload_result_from_payload,
-            kind=WORKLOAD_TASK_KIND, workers=0,
-        )
+        report = run_kind(workload_sweep_kind(), tasks, store=store, workers=0)
         assert (report.store_hits, report.store_misses) == (0, 1)
         assert store.stats().quarantined == 1  # retired via reject()
         assert results_json_bytes(report.ok_results()) == results_json_bytes(

@@ -10,7 +10,7 @@ down versions of the Figure 2 and Figure 4 sweeps.
 import pytest
 
 from repro.errors import SimulationError
-from repro.simulation.resilience import run_sweep_resilient
+from repro.simulation.resilience import run_kind
 from repro.simulation.sweep import (
     ROADMAP_YEARS,
     RoadmapTask,
@@ -20,6 +20,7 @@ from repro.simulation.sweep import (
     sweep_roadmap,
     sweep_workloads,
 )
+from tests.sweep_kinds import plain_kind
 
 
 class TestResolveWorkers:
@@ -66,7 +67,7 @@ def _square(x):
 
 
 def _run_strict(tasks, workers):
-    report = run_sweep_resilient(tasks, _square, workers=workers, retries=0)
+    report = run_kind(plain_kind(_square), tasks, workers=workers, retries=0)
     report.raise_on_failure()
     return report.ok_results()
 

@@ -189,8 +189,8 @@ def discover_roots(
     """The keyed-zone roots: explicit patterns + worker functions.
 
     A *worker function* is any project function passed by name to a sweep
-    executor front-end (``run_sweep_resilient`` / ``run_sweep_cached`` /
-    a ``SweepKind`` record — the ``worker_sink_patterns``); those functions
+    executor front-end (the ``worker_sink_patterns``; in this repository
+    the ``SweepKind`` record that ``run_kind`` executes); those functions
     execute inside pool processes and produce the bytes the store keys,
     so they are roots whether or not a pattern names them.
     """

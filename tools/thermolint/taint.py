@@ -53,13 +53,9 @@ DEFAULT_ROOT_PATTERNS: Tuple[str, ...] = (
 
 #: Executor front-ends: a project function passed to one of these by name
 #: runs inside a worker process and is a keyed-zone root.  ``SweepKind``
-#: is the sweep-family record :func:`run_kind` executes: its worker, key
-#: and codec are named there and nowhere else.
-DEFAULT_WORKER_SINKS: Tuple[str, ...] = (
-    "*.run_sweep_resilient",
-    "*.run_sweep_cached",
-    "*.SweepKind",
-)
+#: is the sweep-family record :func:`run_kind`, the one sweep runner,
+#: executes: its worker, key and codec are named there and nowhere else.
+DEFAULT_WORKER_SINKS: Tuple[str, ...] = ("*.SweepKind",)
 
 #: Files whose content defines what a store key *means*.  Editing any of
 #: them without bumping CODE_SCHEMA_VERSION risks stale cache hits; their
@@ -265,8 +261,8 @@ def run_fabric_rules(
     # TL011 — lambdas / nested defs submitted to executors don't pickle
     # under the spawn start method (and capture ambient state under fork).
     # For executor.submit/map every argument crosses the process boundary;
-    # for the project's run_sweep* sinks only the worker callable does —
-    # keyword callbacks (on_result=..., key_fn=...) stay parent-side,
+    # for the project's SweepKind sink only the worker callable does —
+    # keyword callbacks (key=..., encode=...) stay parent-side,
     # except the ones every pool pickles anyway (worker/initializer).
     for qualname in sorted(graph.functions):
         mod, fn = graph.functions[qualname]
