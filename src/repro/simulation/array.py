@@ -13,7 +13,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.errors import SimulationError
 from repro.simulation.disk import SimulatedDisk
 from repro.simulation.events import EventQueue
-from repro.simulation.raid import AccessPlan, ArrayGeometry
+from repro.simulation.raid import ArrayGeometry, Phases
 from repro.simulation.request import Request
 
 LogicalCompletion = Callable[[Request, float], None]
@@ -22,11 +22,11 @@ LogicalCompletion = Callable[[Request, float], None]
 class _InFlight:
     """Book-keeping for one logical request being executed."""
 
-    __slots__ = ("logical", "plan", "phase_index", "outstanding")
+    __slots__ = ("logical", "phases", "phase_index", "outstanding")
 
-    def __init__(self, logical: Request, plan: AccessPlan) -> None:
+    def __init__(self, logical: Request, phases: Phases) -> None:
         self.logical = logical
-        self.plan = plan
+        self.phases = phases
         self.phase_index = 0
         self.outstanding = 0
 
@@ -74,30 +74,36 @@ class StorageArray:
 
     # -- submission ----------------------------------------------------------------
 
-    def submit(self, request: Request) -> None:
-        """Accept a logical request at the current simulated time."""
-        plan = self.geometry.plan(request)
-        if not plan.phases:
+    def submit(self, request: Request, phases: Optional[Phases] = None) -> None:
+        """Accept a logical request at the current simulated time.
+
+        ``phases`` is the request's plan when the caller made it ahead
+        of time (see :mod:`repro.simulation.preplan`); otherwise the
+        geometry plans the request now.
+        """
+        if phases is None:
+            phases = self.geometry.phases(request)
+        if not phases:
             raise SimulationError("geometry produced an empty plan")
-        flight = _InFlight(logical=request, plan=plan)
+        flight = _InFlight(logical=request, phases=phases)
         self._tracking[request.request_id] = flight
         self._issue_phase(flight)
 
     def _issue_phase(self, flight: _InFlight) -> None:
-        phase = flight.plan.phases[flight.phase_index]
+        phase = flight.phases[flight.phase_index]
         flight.outstanding = len(phase)
         if flight.outstanding == 0:  # pragma: no cover - defensive
             raise SimulationError("empty phase in access plan")
         now = self.events.now_ms
         logical = flight.logical
         disks = self.disks
-        for child in phase:
-            disks[child.disk].submit(
+        for disk, lba, sectors, is_write in phase:
+            disks[disk].submit(
                 Request(
                     arrival_ms=now,
-                    lba=child.lba,
-                    sectors=child.sectors,
-                    is_write=child.is_write,
+                    lba=lba,
+                    sectors=sectors,
+                    is_write=is_write,
                     parent=logical,
                 )
             )
@@ -114,7 +120,7 @@ class StorageArray:
         if flight.outstanding > 0:
             return
         flight.phase_index += 1
-        if flight.phase_index < len(flight.plan.phases):
+        if flight.phase_index < len(flight.phases):
             self._issue_phase(flight)
             return
         logical = flight.logical

@@ -138,6 +138,11 @@ class SharedStoreBackend(ExecutionBackend):
         # Claims this process currently holds (released on cancel).
         self._held_claims: Dict[int, str] = {}
 
+    @property
+    def store(self) -> Any:
+        """The result store this backend claims and publishes in."""
+        return self._store
+
     def submit(self, index: int, attempt: int) -> None:
         self._pending.append((index, attempt))
         self._count("sweep.backend.submits_total")

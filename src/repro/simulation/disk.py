@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from repro.capacity.zones import ZonedSurface
 from repro.errors import SimulationError
@@ -305,6 +305,29 @@ class SimulatedDisk:
             self.busy = False
 
 
+def standard_mechanism(
+    diameter_in: float = 3.3,
+    platters: int = 2,
+    kbpi: float = 480.0,
+    ktpi: float = 30.0,
+    zone_count: int = 30,
+) -> Tuple[DiskLayout, SeekModel]:
+    """The ZBR layout and seek curve of a disk built from drive-model
+    parameters (see :func:`standard_disk`), without the disk itself."""
+    from repro.capacity.recording import RecordingTechnology
+
+    surface = ZonedSurface(
+        platter=Platter(diameter_in=diameter_in),
+        technology=RecordingTechnology.from_kilo_units(kbpi, ktpi),
+        zone_count=zone_count,
+    )
+    layout = DiskLayout(surface, surfaces=2 * platters)
+    seek_model = SeekModel(
+        seek_parameters_for_platter(diameter_in), cylinders=surface.cylinders
+    )
+    return layout, seek_model
+
+
 def standard_disk(
     name: str,
     events: EventQueue,
@@ -326,17 +349,12 @@ def standard_disk(
     platter-size seek correlation for the seek curve — the same path the
     paper uses to synthesize drives "for the appropriate year".
     """
-    from repro.capacity.recording import RecordingTechnology
-
-    platter = Platter(diameter_in=diameter_in)
-    surface = ZonedSurface(
-        platter=platter,
-        technology=RecordingTechnology.from_kilo_units(kbpi, ktpi),
+    layout, seek_model = standard_mechanism(
+        diameter_in=diameter_in,
+        platters=platters,
+        kbpi=kbpi,
+        ktpi=ktpi,
         zone_count=zone_count,
-    )
-    layout = DiskLayout(surface, surfaces=2 * platters)
-    seek_model = SeekModel(
-        seek_parameters_for_platter(diameter_in), cylinders=surface.cylinders
     )
     cache = DiskCache(size_bytes=cache_bytes) if cache_bytes > 0 else None
     return SimulatedDisk(

@@ -55,7 +55,9 @@ from repro.units import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
+    from repro.simulation.preplan import SpecGeometry
     from repro.simulation.sweep import WorkloadSweepResult, WorkloadTask
+    from repro.workloads.catalog import WorkloadSpec
 
 #: The engine names accepted by tasks and the CLI.
 ENGINES: Tuple[str, ...] = ("exact", "vectorized", "analytic", "auto")
@@ -105,91 +107,27 @@ def validate_engine(engine: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Shared per-workload geometry (all rpm-independent, so memoized once)
+# Shared per-workload geometry and trace (see repro.simulation.preplan)
 # ---------------------------------------------------------------------------
 
-_GEOMETRY_CACHE: Dict[str, dict] = {}
 
-
-def _workload_geometry(name: str) -> dict:
-    """Memoized rpm-independent geometry of a catalog workload's array.
-
-    Builds one member disk (they are identical) and keeps its layout,
-    seek model, full seek-distance table and the array geometry object;
-    every task for this workload — at any RPM — reuses them.
-    """
-    cached = _GEOMETRY_CACHE.get(name)
-    if cached is not None:
-        return cached
+def _spec(task: "WorkloadTask") -> "WorkloadSpec":
     from repro.workloads import workload as lookup
 
-    spec = lookup(name)
-    system = spec.build_system()
-    disk = system.disks[0]
-    cached = {
-        "spec": spec,
-        "layout": disk.layout,
-        "seek_model": disk.seek_model,
-        "geometry": system.array.geometry,
-        "logical_sectors": system.array.logical_sectors,
-        "disk_count": len(system.disks),
-        "seek_table": None,  # filled lazily (needs numpy)
-    }
-    # Per-process memo of a pure builder: every process computes identical
-    # values for a given name, so copies cannot diverge observably.
-    # thermolint: disable=TL012
-    _GEOMETRY_CACHE[name] = cached
-    return cached
+    return lookup(task.workload)
 
 
-def _seek_table(geo: dict) -> "object":
+def _seek_table(geo: "SpecGeometry") -> "object":
     """Seek-time table over every cylinder distance (bit-equal to the
-    scalar :meth:`SeekModel.seek_time_ms`), cached per workload."""
-    table = geo["seek_table"]
+    scalar :meth:`SeekModel.seek_time_ms`), kept with the geometry."""
+    table = geo.seek_table
     if table is None:
         import numpy as np
 
-        model = geo["seek_model"]
+        model = geo.seek_model
         table = model.seek_time_ms_batch(np.arange(model.cylinders, dtype=np.int64))
-        geo["seek_table"] = table
+        geo.seek_table = table
     return table
-
-
-#: Memoized traces, keyed (workload, requests, seed).  An RPM ladder
-#: replays the *same* trace at every rung (trace generation is
-#: RPM-independent), and generating it is the dominant cost of the
-#: analytic engine — so a small FIFO cache turns a 99-point ladder's 99
-#: generations into one.
-_TRACE_CACHE: Dict[Tuple[str, int, int], object] = {}
-_TRACE_CACHE_MAX = 8
-
-
-def _generate_trace(task: "WorkloadTask", geo: dict):
-    """The task's trace, generated without rebuilding the storage system.
-
-    Identical to ``spec.generate(...)`` — same shape, same capacity, same
-    seed — but reuses the memoized logical capacity instead of building a
-    throwaway system per point, and caches the result across the RPM
-    ladder.
-    """
-    key = (task.workload, task.requests, task.seed)
-    # Pure memo keyed on the full task identity: regeneration in any
-    # process yields a bit-identical trace, so divergence is impossible.
-    # thermolint: disable=TL012
-    trace = _TRACE_CACHE.get(key)
-    if trace is None:
-        from repro.workloads.synthetic import generate_trace
-
-        trace = generate_trace(
-            shape=geo["spec"].shape,
-            num_requests=task.requests,
-            capacity_sectors=geo["logical_sectors"],
-            seed=task.seed,
-        )
-        while len(_TRACE_CACHE) >= _TRACE_CACHE_MAX:
-            _TRACE_CACHE.pop(next(iter(_TRACE_CACHE)))
-        _TRACE_CACHE[key] = trace
-    return trace
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +141,7 @@ def vectorized_refusal(task: "WorkloadTask") -> Optional[str]:
         return "fault injection requires the exact engine"
     if task.telemetry:
         return "telemetry instrumentation requires the exact engine"
-    spec = _workload_geometry(task.workload)["spec"]
-    if spec.raid5:
+    if _spec(task).raid5:
         return "RAID-5 phased plans are exact-only"
     if not have_numpy():
         return "numpy is not available"
@@ -219,8 +156,7 @@ def analytic_refusal(task: "WorkloadTask") -> Optional[str]:
         return "telemetry instrumentation requires the exact engine"
     if task.keep_samples:
         return "the analytic engine has no per-request samples to keep"
-    geo = _workload_geometry(task.workload)
-    spec = geo["spec"]
+    spec = _spec(task)
     if spec.raid5:
         return "RAID-5 read-modify-write phases are not modeled analytically"
     if spec.shape.sequential_fraction > ANALYTIC_MAX_SEQUENTIAL:
@@ -228,7 +164,7 @@ def analytic_refusal(task: "WorkloadTask") -> Optional[str]:
             f"sequential fraction {spec.shape.sequential_fraction:.2f} exceeds "
             f"{ANALYTIC_MAX_SEQUENTIAL:.2f} (cache/skew-dominated)"
         )
-    rho = _estimate_rho(task, geo)
+    rho = _estimate_rho(task, spec)
     if rho > ANALYTIC_MAX_RHO_STATIC:
         return (
             f"estimated per-disk utilization {rho:.2f} exceeds "
@@ -239,11 +175,13 @@ def analytic_refusal(task: "WorkloadTask") -> Optional[str]:
     return None
 
 
-def _estimate_rho(task: "WorkloadTask", geo: dict) -> float:
+def _estimate_rho(task: "WorkloadTask", spec: "WorkloadSpec") -> float:
     """Shape-level per-disk utilization estimate (no trace generation)."""
-    spec = geo["spec"]
-    layout = geo["layout"]
-    model = geo["seek_model"]
+    from repro.simulation.preplan import spec_geometry
+
+    geo = spec_geometry(spec)
+    layout = geo.layout
+    model = geo.seek_model
     period = rotation_time_ms(task.rpm)
     sizes, weights = zip(*spec.shape.size_mix)
     mean_sectors = sum(s * w for s, w in zip(sizes, weights)) / sum(weights)
@@ -260,7 +198,7 @@ def _estimate_rho(task: "WorkloadTask", geo: dict) -> float:
             / interface_mb_per_s_to_bytes_per_s(_BUS_MB_PER_S)
         )
     )
-    per_disk_rate = 1.0 / (spec.shape.mean_interarrival_ms * geo["disk_count"])
+    per_disk_rate = 1.0 / (spec.shape.mean_interarrival_ms * geo.disk_count)
     return per_disk_rate * service
 
 
@@ -349,21 +287,6 @@ def run_fast_task(task: "WorkloadTask") -> Optional["WorkloadSweepResult"]:
 # ---------------------------------------------------------------------------
 
 
-class _PlanShim:
-    """Just enough of a Request for ``ArrayGeometry.plan``."""
-
-    __slots__ = ("lba", "sectors", "is_write")
-
-    def __init__(self, lba: int, sectors: int, is_write: bool) -> None:
-        self.lba = lba
-        self.sectors = sectors
-        self.is_write = is_write
-
-    @property
-    def end_lba(self) -> int:
-        return self.lba + self.sectors
-
-
 def _chunk_geometry(np, layout, child_lba, child_sectors):
     """CSR chunk decomposition of every child access at once.
 
@@ -415,15 +338,16 @@ def run_workload_task_vectorized(task: "WorkloadTask") -> "WorkloadSweepResult":
 
     from repro.simulation.cache import DiskCache
     from repro.simulation.mechanics import DiskMechanics
+    from repro.simulation.preplan import preplan, spec_geometry
     from repro.simulation.statistics import ResponseTimeStats
     from repro.simulation.sweep import WorkloadSweepResult
 
-    geo = _workload_geometry(task.workload)
-    layout = geo["layout"]
-    geometry = geo["geometry"]
-    disk_count = geo["disk_count"]
-    mech = DiskMechanics(layout, geo["seek_model"], task.rpm)
-    trace = _generate_trace(task, geo)
+    spec = _spec(task)
+    geo = spec_geometry(spec)
+    layout = geo.layout
+    disk_count = geo.disk_count
+    mech = DiskMechanics(layout, geo.seek_model, task.rpm)
+    plan = preplan(spec, task.requests, task.seed)
 
     # -- decompose the trace into per-disk child accesses -----------------
     arrivals: List[float] = []
@@ -433,18 +357,19 @@ def run_workload_task_vectorized(task: "WorkloadTask") -> "WorkloadSweepResult":
     child_write: List[bool] = []
     child_logical: List[int] = []
     children_of: List[List[int]] = []
-    for li, record in enumerate(trace):
+    for li, (record, phases) in enumerate(
+        zip(plan.trace, plan.phases_for(geo.array))
+    ):
         arrivals.append(record.time_ms)
-        plan = geometry.plan(_PlanShim(record.lba, record.sectors, record.is_write))
-        if len(plan.phases) != 1:  # pragma: no cover - Raid0 is single-phase
+        if len(phases) != 1:  # pragma: no cover - Raid0 is single-phase
             raise EngineRefused("multi-phase plans require the exact engine")
         mine: List[int] = []
-        for child in plan.phases[0]:
+        for disk, lba, sectors, is_write in phases[0]:
             mine.append(len(child_disk))
-            child_disk.append(child.disk)
-            child_lba.append(child.lba)
-            child_sectors.append(child.sectors)
-            child_write.append(child.is_write)
+            child_disk.append(disk)
+            child_lba.append(lba)
+            child_sectors.append(sectors)
+            child_write.append(is_write)
             child_logical.append(li)
         children_of.append(mine)
 
@@ -654,17 +579,19 @@ def run_workload_task_analytic(task: "WorkloadTask") -> "WorkloadSweepResult":
     """
     import numpy as np
 
+    from repro.simulation.preplan import preplan, spec_geometry
     from repro.simulation.statistics import (
         cdf_batch,
         percentiles_batch,
     )
     from repro.simulation.sweep import WorkloadSweepResult
 
-    geo = _workload_geometry(task.workload)
-    layout = geo["layout"]
-    geometry = geo["geometry"]
-    disk_count = geo["disk_count"]
-    trace = _generate_trace(task, geo)
+    spec = _spec(task)
+    geo = spec_geometry(spec)
+    layout = geo.layout
+    geometry = geo.array
+    disk_count = geo.disk_count
+    trace = preplan(spec, task.requests, task.seed).trace
     n = len(trace)
     arrival = np.fromiter((r.time_ms for r in trace), dtype=np.float64, count=n)
     lba = np.fromiter((r.lba for r in trace), dtype=np.int64, count=n)

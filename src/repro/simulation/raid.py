@@ -19,6 +19,13 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 from repro.errors import SimulationError
 from repro.simulation.request import Request
 
+#: One child access as a plain tuple, in :class:`ChildAccess` field
+#: order: ``(disk, lba, sectors, is_write)``.
+Child = Tuple[int, int, int, bool]
+#: A request's phased plan as nested tuples: the phases run one after
+#: another, the children of one phase concurrently.
+Phases = Tuple[Tuple[Child, ...], ...]
+
 
 @dataclass(frozen=True)
 class ChildAccess:
@@ -80,9 +87,23 @@ class ArrayGeometry:
         """Usable logical capacity in sectors."""
         raise NotImplementedError
 
+    @property
+    def mapping(self) -> Tuple[str, int, int, int]:
+        """What fixes the logical-to-physical map: the geometry class,
+        disk count, stripe unit and per-disk size.  Two RAID-0 or RAID-5
+        geometries with equal mappings plan every request alike."""
+        return (type(self).__name__, self.disk_count, self.stripe_unit, self.disk_sectors)
+
     def plan(self, request: Request) -> AccessPlan:
         """Decompose a logical request into phased child accesses."""
         raise NotImplementedError
+
+    def phases(self, request: Request) -> Phases:
+        """:meth:`plan` as plain tuples (see :data:`Phases`)."""
+        return tuple(
+            tuple((c.disk, c.lba, c.sectors, c.is_write) for c in phase)
+            for phase in self.plan(request).phases
+        )
 
     def _check_range(self, request: Request) -> None:
         if request.end_lba > self.logical_sectors:
@@ -120,16 +141,34 @@ class Raid0Geometry(ArrayGeometry):
         return disk, row * self.stripe_unit
 
     def plan(self, request: Request) -> AccessPlan:
+        """One child per touched disk, in disk order, in closed form.
+
+        The stripe units a request covers on one disk lie in consecutive
+        rows, so they are physically contiguous: each disk's child runs
+        from its first unit (offset into the request's first unit) to
+        its last (cut at the request's end) — what the unit walk plus
+        :func:`_coalesce` merges, in O(disks) instead of O(units).
+        """
         self._check_range(request)
+        unit = self.stripe_unit
+        count = self.disk_count
+        first = request.lba // unit
+        last = (request.end_lba - 1) // unit
         children: List[ChildAccess] = []
-        for unit, offset, length in self._units(request):
-            disk, start = self.locate_unit(unit)
+        for u in range(first, min(last, first + count - 1) + 1):
+            final = u + (last - u) // count * count  # last unit on this disk
+            start = (u // count) * unit
+            if u == first:
+                start += request.lba % unit
+            end = (final // count) * unit
+            end += (request.end_lba - 1) % unit + 1 if final == last else unit
             children.append(
                 ChildAccess(
-                    disk=disk, lba=start + offset, sectors=length, is_write=request.is_write
+                    disk=u % count, lba=start, sectors=end - start, is_write=request.is_write
                 )
             )
-        return AccessPlan(phases=[_coalesce(children)])
+        children.sort(key=lambda child: child.disk)
+        return AccessPlan(phases=[children])
 
 
 class Raid5Geometry(ArrayGeometry):

@@ -66,6 +66,7 @@ from repro.simulation.backends import (
     BackendBroken,
     ExecutionBackend,
     InFlight,
+    SharedStoreBackend,
     TaskEnvelope,
     resolve_backend,
     resolve_backend_name,
@@ -469,8 +470,9 @@ def run_kind(
             backend, as must the worker's results).
         store: optional :class:`repro.store.ResultStore`.  The
             ``shared-store`` backend coordinates *through* a store, so
-            selecting it without one opens the default store
-            (``REPRO_STORE_DIR``, else ``~/.cache/repro``).
+            selecting it without one uses a ready backend's own store,
+            and opens the default store (``REPRO_STORE_DIR``, else
+            ``~/.cache/repro``) for one selected by name.
         workers: process count (None = all cores; 0/1 = serial
             in-process, which produces identical results), first passed
             through ``kind.plan_workers`` when the family has one.
@@ -522,7 +524,9 @@ def run_kind(
         if isinstance(backend, ExecutionBackend)
         else resolve_backend_name(backend)
     )
-    if store is None and label == "shared-store":
+    if store is None and isinstance(backend, SharedStoreBackend):
+        store = backend.store
+    elif store is None and label == "shared-store":
         from repro.store import ResultStore
 
         store = ResultStore()

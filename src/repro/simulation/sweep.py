@@ -250,6 +250,7 @@ class WorkloadSweepResult:
 
 
 def _run_workload_task(task: WorkloadTask) -> WorkloadSweepResult:
+    from repro.simulation.preplan import preplan
     from repro.workloads import workload as lookup
 
     if task.engine != "exact":
@@ -260,7 +261,7 @@ def _run_workload_task(task: WorkloadTask) -> WorkloadSweepResult:
             return fast
 
     spec = lookup(task.workload)
-    trace = spec.generate(num_requests=task.requests, seed=task.seed)
+    plan = preplan(spec, task.requests, task.seed)
     tel = None
     if task.telemetry:
         from repro.telemetry import Telemetry
@@ -272,7 +273,9 @@ def _run_workload_task(task: WorkloadTask) -> WorkloadSweepResult:
     system = spec.build_system(
         task.rpm, telemetry=tel, fault_config=task.fault_config
     )
-    report = system.run_trace(trace)
+    report = system.run_trace(
+        plan.trace, phases=plan.phases_for(system.array.geometry)
+    )
     return WorkloadSweepResult(
         workload=task.workload,
         rpm=task.rpm,

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
+from itertools import repeat
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import SimulationError
 
@@ -19,7 +20,7 @@ if TYPE_CHECKING:  # pragma: no cover - cycle broken at runtime
 from repro.simulation.array import StorageArray
 from repro.simulation.disk import SimulatedDisk, standard_disk
 from repro.simulation.events import EventQueue
-from repro.simulation.raid import ArrayGeometry, Raid0Geometry, Raid5Geometry
+from repro.simulation.raid import ArrayGeometry, Phases, Raid0Geometry, Raid5Geometry
 from repro.simulation.request import Request
 from repro.simulation.statistics import ResponseTimeStats
 from repro.units import GB_MARKETING, MIB
@@ -132,10 +133,12 @@ class StorageSystem:
     def disks(self) -> List[SimulatedDisk]:
         return self.array.disks
 
-    def _arrive(self, request: Request, now: float) -> None:
-        self.array.submit(request)
+    def _arrive(self, request: Request, phases: Optional[Phases], now: float) -> None:
+        self.array.submit(request, phases)
 
-    def _arrive_traced(self, request: Request, now: float) -> None:
+    def _arrive_traced(
+        self, request: Request, phases: Optional[Phases], now: float
+    ) -> None:
         assert self._tel is not None
         self._tel.record(
             self.events.now_ms,
@@ -145,10 +148,20 @@ class StorageSystem:
             sectors=request.sectors,
             write=request.is_write,
         )
-        self.array.submit(request)
+        self.array.submit(request, phases)
 
-    def run_trace(self, trace: Trace, max_events: Optional[int] = None) -> SimulationReport:
-        """Replay a trace to completion and report statistics."""
+    def run_trace(
+        self,
+        trace: Trace,
+        max_events: Optional[int] = None,
+        phases: Optional[Sequence[Phases]] = None,
+    ) -> SimulationReport:
+        """Replay a trace to completion and report statistics.
+
+        ``phases``, when given, holds each record's plan on this array in
+        trace order (:meth:`repro.simulation.preplan.PrePlan.phases_for`);
+        otherwise each request is planned as it arrives.
+        """
         if len(trace) == 0:
             raise SimulationError(f"trace {trace.name!r} is empty")
         capacity = self.array.logical_sectors
@@ -157,16 +170,23 @@ class StorageSystem:
                 f"trace {trace.name!r} addresses {trace.max_lba()} sectors but the "
                 f"array holds {capacity}"
             )
+        if phases is not None and len(phases) != len(trace):
+            raise SimulationError(
+                f"{len(phases)} plan(s) for the {len(trace)} records of {trace.name!r}"
+            )
         arrivals = []
         arrive = self._arrive_traced if self._tel is not None else self._arrive
-        for record in trace:
+        plans: Iterable[Optional[Phases]] = (
+            phases if phases is not None else repeat(None)
+        )
+        for record, plan in zip(trace, plans):
             request = Request(
                 arrival_ms=record.time_ms,
                 lba=record.lba,
                 sectors=record.sectors,
                 is_write=record.is_write,
             )
-            arrivals.append((record.time_ms, partial(arrive, request)))
+            arrivals.append((record.time_ms, partial(arrive, request, plan)))
         self.events.schedule_batch(arrivals)
         if self._tel is not None:
             self._tel.probes.attach(self.events)
@@ -205,6 +225,27 @@ class StorageSystem:
         for injector in injectors:
             pooled.merge(injector.stats)
         return pooled.as_dict()
+
+
+def array_geometry(
+    disk_count: int,
+    disk_capacity_gb: float,
+    media_sectors: int,
+    raid5: bool = False,
+    stripe_unit_sectors: int = 16,
+) -> ArrayGeometry:
+    """The striping geometry of :func:`build_system`'s array.
+
+    ``disk_capacity_gb`` clips each member's usable portion; a disk
+    whose media (``media_sectors``) holds less keeps all of it.
+    """
+    requested_sectors = int(disk_capacity_gb * GB_MARKETING) // 512
+    per_disk = min(requested_sectors, media_sectors)
+    if per_disk < stripe_unit_sectors:
+        raise SimulationError("per-disk capacity below one stripe unit")
+    if raid5:
+        return Raid5Geometry(disk_count, stripe_unit_sectors, per_disk)
+    return Raid0Geometry(disk_count, stripe_unit_sectors, per_disk)
 
 
 def build_system(
@@ -268,15 +309,13 @@ def build_system(
             subject=disk.name,
         )
         disks.append(disk)
-    requested_sectors = int(disk_capacity_gb * GB_MARKETING) // 512
-    per_disk = min(requested_sectors, disks[0].total_sectors)
-    if per_disk < stripe_unit_sectors:
-        raise SimulationError("per-disk capacity below one stripe unit")
-    geometry: ArrayGeometry
-    if raid5:
-        geometry = Raid5Geometry(disk_count, stripe_unit_sectors, per_disk)
-    else:
-        geometry = Raid0Geometry(disk_count, stripe_unit_sectors, per_disk)
+    geometry = array_geometry(
+        disk_count,
+        disk_capacity_gb,
+        disks[0].total_sectors,
+        raid5=raid5,
+        stripe_unit_sectors=stripe_unit_sectors,
+    )
     return StorageSystem(
         disks=disks, geometry=geometry, events=events, telemetry=telemetry
     )

@@ -96,9 +96,10 @@ class WorkloadSpec:
         seed: int = 0,
         rate_scale: float = 1.0,
     ) -> Trace:
-        """Generate the synthetic trace, sized to the system's capacity."""
-        system = self.build_system()
-        capacity = system.array.logical_sectors
+        """Generate the synthetic trace, sized to the array's capacity."""
+        from repro.simulation.preplan import spec_geometry
+
+        capacity = spec_geometry(self).logical_sectors
         # Exact sentinel check: 1.0 means "caller passed the default", not a
         # computed rate.  # thermolint: disable=TL002
         shape = self.shape if rate_scale == 1.0 else self.shape.scaled_rate(rate_scale)

@@ -101,17 +101,10 @@ def _make_backend(name, tasks, worker, tmp_path, **shared_kwargs):
 
 
 def _run(backend, tasks, worker, tmp_path, **knobs):
-    """Drive a ready backend through ``run_kind``.
-
-    A shared-store backend coordinates through the conformance store, so
-    the runner is handed that store (keyed the same way) instead of
-    opening the default one.
-    """
-    shared = backend.name == "shared-store"
+    """Drive a ready backend through ``run_kind`` (a shared-store backend
+    brings its conformance store, keyed the same way)."""
     return run_kind(
-        plain_kind(worker, key=_task_key), tasks,
-        store=_conformance_store(tmp_path) if shared else None,
-        backend=backend, **knobs,
+        plain_kind(worker, key=_task_key), tasks, backend=backend, **knobs
     )
 
 
@@ -507,6 +500,24 @@ def test_ready_backend_with_partial_store_hits_runs_the_misses(tmp_path):
     assert report.results() == [4, 9, 16]
     assert [e.cached for e in report.envelopes] == [False, True, False]
     assert store.load(kind.key(4), kind.decode) == 16
+
+
+def test_ready_shared_store_backend_brings_its_own_store(tmp_path, monkeypatch):
+    """Without ``store=``, a ready shared-store backend's own store is the
+    one the runner looks hits up in and reports keys of; the default
+    store is never opened."""
+    default_dir = tmp_path / "default-store"
+    default_dir.mkdir()
+    monkeypatch.setenv("REPRO_STORE_DIR", str(default_dir))
+    tasks = [2, 3, 4]
+    backend = _make_backend("shared-store", tasks, _square, tmp_path)
+    backend.store.save(_task_key(3), 9)
+    report = run_kind(plain_kind(_square, key=_task_key), tasks, backend=backend)
+    assert report.results() == [4, 9, 16]
+    assert [e.cached for e in report.envelopes] == [False, True, False]
+    assert (report.store_hits, report.store_misses) == (1, 2)
+    assert report.task_keys == [_task_key(task) for task in tasks]
+    assert list(default_dir.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 controllers, the parallel sweep, and the CLI — plus the tier-1 no-op
 overhead guard (acceptance: within 2% of the untelemetered baseline)."""
 
+import gc
 import json
 import time
 
@@ -81,20 +82,25 @@ class TestSystemIntegration:
         stays within 2% of the untelemetered baseline.
 
         A disabled Telemetry normalizes to None inside every component, so
-        the two paths execute identical code; min-of-N wall clocks bound
-        scheduler noise.  The two sides are interleaved per repetition,
-        alternating which goes first, so host load that drifts during
-        the test lands on both.  One escalating retry keeps slow hosts
-        honest without flaking.
+        the two paths execute identical code.  Each replay is timed in
+        process CPU time, which time spent descheduled by other load on
+        the host does not inflate, and starts from a freshly collected
+        heap: a full collection inherited from earlier replays costs a
+        few milliseconds of a ~40 ms replay and used to land on either
+        side.  Min-of-N bounds the rest.  The two sides are interleaved
+        per repetition, alternating which goes first, so host load that
+        drifts during the test lands on both.  One escalating retry
+        keeps slow hosts honest without flaking.
         """
 
         def replay_s(telemetry):
             spec = workload("tpcc")
             trace = spec.generate(num_requests=800, seed=2)
             system = spec.build_system(telemetry=telemetry)
-            t0 = time.perf_counter()
+            gc.collect()
+            t0 = time.process_time()
             system.run_trace(trace)
-            return time.perf_counter() - t0
+            return time.process_time() - t0
 
         def measure(repeats):
             sides = {

@@ -1,8 +1,11 @@
 """Workload tests: trace format, synthetic generator, catalog."""
 
+import hashlib
+
 import pytest
 
 from repro.errors import TraceError
+from repro.simulation.preplan import spec_geometry
 from repro.workloads import (
     Trace,
     TraceRecord,
@@ -249,3 +252,31 @@ class TestCatalog:
         assert spec.shape.mean_interarrival_ms == 9.9
         # original untouched
         assert workload("oltp").shape.mean_interarrival_ms != 9.9
+
+
+#: sha256 of each catalog workload's 2000-request, seed-7 trace (one
+#: ``<time.hex()> <lba> <sectors> <write>`` line per record), generated
+#: when ``WorkloadSpec.generate`` still sized traces from a whole built
+#: system: sizing them from the array geometry alone changes no record.
+TRACE_SHA256 = {
+    "oltp": "0f385d5b6e9cb650597472f3f1939f76940c51c7ad01647bd82e0315472690c5",
+    "openmail": "bc19455c29ab2cd908a8aebd21d1a4deca47f6e6e494282e0cfb23089dce4aa1",
+    "search_engine": "d9e531d7f97f53520a414822cedaa97c23a693cf9a2c04694012e58551fd0823",
+    "tpcc": "d961b55bce3590fde5b6d841ffbad3b95a202071496b3389ffd829925ac701a3",
+    "tpch": "6090f145f1a746ec6b2db1a748113e6dffe54c479f45058fd10b77b00bd02baa",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_SHA256))
+def test_generated_trace_is_pinned(name):
+    trace = workload(name).generate(num_requests=2000, seed=7)
+    text = "".join(
+        f"{r.time_ms.hex()} {r.lba} {r.sectors} {int(r.is_write)}\n" for r in trace
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == TRACE_SHA256[name]
+
+
+def test_generate_capacity_is_the_built_arrays():
+    for spec in catalog().values():
+        geometry = spec.build_system().array.geometry
+        assert spec_geometry(spec).array.mapping == geometry.mapping
