@@ -161,23 +161,28 @@ def _cmd_roadmap(args: argparse.Namespace) -> int:
 
 
 def _cmd_workload(args: argparse.Namespace) -> int:
+    from repro.simulation.resilience import run_kind
+    from repro.simulation.sweep import build_workload_tasks, workload_sweep_kind
     from repro.workloads import workload
 
     spec = workload(args.name)
-    trace = spec.generate(num_requests=args.requests, seed=args.seed)
-    rows = []
-    for rpm in spec.rpm_sweep(args.steps):
-        report = spec.build_system(rpm).run_trace(trace)
-        rows.append(
-            [
-                f"{rpm:.0f}",
-                f"{report.stats.mean_ms():.2f}",
-                f"{report.stats.median_ms():.2f}",
-                f"{report.stats.percentile_ms(95):.2f}",
-                f"{max(report.disk_utilizations):.2f}",
-            ]
-        )
-    print(f"{spec.display_name}: {len(trace)} requests")
+    tasks = build_workload_tasks(
+        [args.name], rpm_steps=args.steps, requests=args.requests, seed=args.seed
+    )
+    # Explicitly serial: REPRO_SWEEP_BACKEND must not open a store here.
+    report = run_kind(workload_sweep_kind(), tasks, workers=0, backend="serial")
+    report.raise_on_failure()
+    rows = [
+        [
+            f"{r.rpm:.0f}",
+            f"{r.mean_ms:.2f}",
+            f"{r.median_ms:.2f}",
+            f"{r.p95_ms:.2f}",
+            f"{r.max_utilization:.2f}",
+        ]
+        for r in report.ok_results()
+    ]
+    print(f"{spec.display_name}: {args.requests} requests")
     print(format_table(["RPM", "mean ms", "median ms", "p95 ms", "util"], rows))
     return 0
 

@@ -8,9 +8,7 @@ from repro.simulation.layout import DiskLayout, SectorAddress
 from repro.simulation.mechanics import DiskMechanics, ServiceBreakdown
 from repro.simulation.power import PowerReport, energy_per_request_j, power_report
 from repro.simulation.raid import (
-    AccessPlan,
     ArrayGeometry,
-    ChildAccess,
     Raid0Geometry,
     Raid1Geometry,
     Raid5Geometry,
@@ -78,8 +76,6 @@ __all__ = [
     "power_report",
     "energy_per_request_j",
     "Raid5Geometry",
-    "AccessPlan",
-    "ChildAccess",
     "StorageArray",
     "ResponseTimeStats",
     "PAPER_CDF_BINS_MS",

@@ -82,7 +82,9 @@ class StorageArray:
         geometry plans the request now.
         """
         if phases is None:
-            phases = self.geometry.phases(request)
+            phases = self.geometry.plan(
+                request.lba, request.sectors, request.is_write
+            )
         if not phases:
             raise SimulationError("geometry produced an empty plan")
         flight = _InFlight(logical=request, phases=phases)

@@ -99,26 +99,11 @@ class PrePlan:
             )
         phases = self._phases
         if phases is None:
-            plan = self.geometry.phases
+            plan = self.geometry.plan
             phases = self._phases = tuple(
-                plan(_PlanShim(r.lba, r.sectors, r.is_write)) for r in self.trace
+                plan(r.lba, r.sectors, r.is_write) for r in self.trace
             )
         return phases
-
-
-class _PlanShim:
-    """Just enough of a Request for ``ArrayGeometry.plan``."""
-
-    __slots__ = ("lba", "sectors", "is_write")
-
-    def __init__(self, lba: int, sectors: int, is_write: bool) -> None:
-        self.lba = lba
-        self.sectors = sectors
-        self.is_write = is_write
-
-    @property
-    def end_lba(self) -> int:
-        return self.lba + self.sectors
 
 
 _GEOMETRY: Dict[Tuple[Any, ...], SpecGeometry] = {}

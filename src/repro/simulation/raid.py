@@ -13,52 +13,16 @@ concurrently, and a phase may only start when the previous one finished
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.errors import SimulationError
-from repro.simulation.request import Request
 
-#: One child access as a plain tuple, in :class:`ChildAccess` field
-#: order: ``(disk, lba, sectors, is_write)``.
+#: One child access: ``(disk, lba, sectors, is_write)`` — the member
+#: disk, the physical LBA on it, the length and the direction.
 Child = Tuple[int, int, int, bool]
 #: A request's phased plan as nested tuples: the phases run one after
 #: another, the children of one phase concurrently.
 Phases = Tuple[Tuple[Child, ...], ...]
-
-
-@dataclass(frozen=True)
-class ChildAccess:
-    """One physical access derived from a logical request.
-
-    Attributes:
-        disk: member-disk index.
-        lba: physical LBA on that disk.
-        sectors: length.
-        is_write: whether this child writes.
-    """
-
-    disk: int
-    lba: int
-    sectors: int
-    is_write: bool
-
-    def __post_init__(self) -> None:
-        if self.sectors <= 0:
-            raise SimulationError("child access must be non-empty")
-        if self.lba < 0 or self.disk < 0:
-            raise SimulationError("child access indices must be non-negative")
-
-
-@dataclass
-class AccessPlan:
-    """The phased decomposition of one logical request."""
-
-    phases: List[List[ChildAccess]] = field(default_factory=list)
-
-    def all_children(self) -> Iterator[ChildAccess]:
-        for phase in self.phases:
-            yield from phase
 
 
 class ArrayGeometry:
@@ -94,28 +58,25 @@ class ArrayGeometry:
         geometries with equal mappings plan every request alike."""
         return (type(self).__name__, self.disk_count, self.stripe_unit, self.disk_sectors)
 
-    def plan(self, request: Request) -> AccessPlan:
-        """Decompose a logical request into phased child accesses."""
+    def plan(self, lba: int, sectors: int, is_write: bool) -> Phases:
+        """Decompose a logical access into phased child accesses."""
         raise NotImplementedError
 
-    def phases(self, request: Request) -> Phases:
-        """:meth:`plan` as plain tuples (see :data:`Phases`)."""
-        return tuple(
-            tuple((c.disk, c.lba, c.sectors, c.is_write) for c in phase)
-            for phase in self.plan(request).phases
-        )
-
-    def _check_range(self, request: Request) -> None:
-        if request.end_lba > self.logical_sectors:
+    def _check_range(self, lba: int, sectors: int) -> None:
+        if lba < 0 or sectors < 1:
             raise SimulationError(
-                f"logical access [{request.lba}, {request.end_lba}) exceeds "
+                f"logical access needs lba >= 0 and sectors >= 1, "
+                f"got lba={lba}, sectors={sectors}"
+            )
+        if lba + sectors > self.logical_sectors:
+            raise SimulationError(
+                f"logical access [{lba}, {lba + sectors}) exceeds "
                 f"array capacity {self.logical_sectors}"
             )
 
-    def _units(self, request: Request) -> Iterator[Tuple[int, int, int]]:
+    def _units(self, lba: int, sectors: int) -> Iterator[Tuple[int, int, int]]:
         """Yield (stripe_unit_index, offset_in_unit, length) runs."""
-        lba = request.lba
-        remaining = request.sectors
+        remaining = sectors
         while remaining > 0:
             unit = lba // self.stripe_unit
             offset = lba % self.stripe_unit
@@ -140,7 +101,7 @@ class Raid0Geometry(ArrayGeometry):
         row = unit // self.disk_count
         return disk, row * self.stripe_unit
 
-    def plan(self, request: Request) -> AccessPlan:
+    def plan(self, lba: int, sectors: int, is_write: bool) -> Phases:
         """One child per touched disk, in disk order, in closed form.
 
         The stripe units a request covers on one disk lie in consecutive
@@ -149,26 +110,23 @@ class Raid0Geometry(ArrayGeometry):
         its last (cut at the request's end) — what the unit walk plus
         :func:`_coalesce` merges, in O(disks) instead of O(units).
         """
-        self._check_range(request)
+        self._check_range(lba, sectors)
         unit = self.stripe_unit
         count = self.disk_count
-        first = request.lba // unit
-        last = (request.end_lba - 1) // unit
-        children: List[ChildAccess] = []
+        end_lba = lba + sectors
+        first = lba // unit
+        last = (end_lba - 1) // unit
+        children: List[Child] = []
         for u in range(first, min(last, first + count - 1) + 1):
             final = u + (last - u) // count * count  # last unit on this disk
             start = (u // count) * unit
             if u == first:
-                start += request.lba % unit
+                start += lba % unit
             end = (final // count) * unit
-            end += (request.end_lba - 1) % unit + 1 if final == last else unit
-            children.append(
-                ChildAccess(
-                    disk=u % count, lba=start, sectors=end - start, is_write=request.is_write
-                )
-            )
-        children.sort(key=lambda child: child.disk)
-        return AccessPlan(phases=[children])
+            end += (end_lba - 1) % unit + 1 if final == last else unit
+            children.append((u % count, start, end - start, is_write))
+        children.sort()  # by disk: each touched disk has one child
+        return (tuple(children),)
 
 
 class Raid5Geometry(ArrayGeometry):
@@ -204,24 +162,22 @@ class Raid5Geometry(ArrayGeometry):
         disk = (parity + 1 + position) % self.disk_count
         return disk, row * self.stripe_unit
 
-    def plan(self, request: Request) -> AccessPlan:
-        self._check_range(request)
-        if not request.is_write:
-            children: List[ChildAccess] = []
-            for unit, offset, length in self._units(request):
-                disk, start = self.locate_unit(unit)
-                children.append(
-                    ChildAccess(disk=disk, lba=start + offset, sectors=length, is_write=False)
-                )
-            return AccessPlan(phases=[_coalesce(children)])
-        return self._plan_write(request)
+    def plan(self, lba: int, sectors: int, is_write: bool) -> Phases:
+        self._check_range(lba, sectors)
+        if is_write:
+            return self._plan_write(lba, sectors)
+        children: List[Child] = []
+        for unit, offset, length in self._units(lba, sectors):
+            disk, start = self.locate_unit(unit)
+            children.append((disk, start + offset, length, False))
+        return (_coalesce(children),)
 
-    def _plan_write(self, request: Request) -> AccessPlan:
+    def _plan_write(self, lba: int, sectors: int) -> Phases:
         by_row: Dict[int, List[Tuple[int, int, int]]] = {}
-        for unit, offset, length in self._units(request):
+        for unit, offset, length in self._units(lba, sectors):
             by_row.setdefault(unit // self.data_disks, []).append((unit, offset, length))
-        pre_reads: List[ChildAccess] = []
-        writes: List[ChildAccess] = []
+        pre_reads: List[Child] = []
+        writes: List[Child] = []
         for row, runs in sorted(by_row.items()):
             parity = self.parity_disk(row)
             parity_lba = row * self.stripe_unit
@@ -229,27 +185,15 @@ class Raid5Geometry(ArrayGeometry):
             full_stripe = len(full_units) == self.data_disks
             for unit, offset, length in runs:
                 disk, start = self.locate_unit(unit)
-                writes.append(
-                    ChildAccess(disk=disk, lba=start + offset, sectors=length, is_write=True)
-                )
+                writes.append((disk, start + offset, length, True))
                 if not full_stripe:
-                    pre_reads.append(
-                        ChildAccess(disk=disk, lba=start + offset, sectors=length, is_write=False)
-                    )
-            writes.append(
-                ChildAccess(disk=parity, lba=parity_lba, sectors=self.stripe_unit, is_write=True)
-            )
+                    pre_reads.append((disk, start + offset, length, False))
+            writes.append((parity, parity_lba, self.stripe_unit, True))
             if not full_stripe:
-                pre_reads.append(
-                    ChildAccess(
-                        disk=parity, lba=parity_lba, sectors=self.stripe_unit, is_write=False
-                    )
-                )
-        phases: List[List[ChildAccess]] = []
+                pre_reads.append((parity, parity_lba, self.stripe_unit, False))
         if pre_reads:
-            phases.append(_coalesce(pre_reads))
-        phases.append(_coalesce(writes))
-        return AccessPlan(phases=phases)
+            return (_coalesce(pre_reads), _coalesce(writes))
+        return (_coalesce(writes),)
 
 
 class Raid1Geometry(ArrayGeometry):
@@ -277,42 +221,23 @@ class Raid1Geometry(ArrayGeometry):
             raise SimulationError(f"mirror index must be 0 or 1, got {disk}")
         self.read_target = disk
 
-    def plan(self, request: Request) -> AccessPlan:
-        self._check_range(request)
-        if request.is_write:
-            children = [
-                ChildAccess(disk=d, lba=request.lba, sectors=request.sectors, is_write=True)
-                for d in (0, 1)
-            ]
-            return AccessPlan(phases=[children])
-        child = ChildAccess(
-            disk=self.read_target,
-            lba=request.lba,
-            sectors=request.sectors,
-            is_write=False,
-        )
-        return AccessPlan(phases=[[child]])
+    def plan(self, lba: int, sectors: int, is_write: bool) -> Phases:
+        self._check_range(lba, sectors)
+        if is_write:
+            return (((0, lba, sectors, True), (1, lba, sectors, True)),)
+        return (((self.read_target, lba, sectors, False),),)
 
 
-def _coalesce(children: Sequence[ChildAccess]) -> List[ChildAccess]:
+def _coalesce(children: Sequence[Child]) -> Tuple[Child, ...]:
     """Merge physically contiguous same-disk, same-direction accesses."""
     if len(children) < 2:
-        return list(children)
-    merged: List[ChildAccess] = []
-    for child in sorted(children, key=lambda c: (c.disk, c.is_write, c.lba)):
-        if (
-            merged
-            and merged[-1].disk == child.disk
-            and merged[-1].is_write == child.is_write
-            and merged[-1].lba + merged[-1].sectors == child.lba
-        ):
-            last = merged[-1]
-            merged[-1] = ChildAccess(
-                disk=last.disk,
-                lba=last.lba,
-                sectors=last.sectors + child.sectors,
-                is_write=last.is_write,
-            )
-        else:
-            merged.append(child)
-    return merged
+        return tuple(children)
+    merged: List[Child] = []
+    for child in sorted(children, key=lambda c: (c[0], c[3], c[1])):  # disk, is_write, lba
+        if merged:
+            disk, lba, sectors, is_write = merged[-1]
+            if disk == child[0] and is_write == child[3] and lba + sectors == child[1]:
+                merged[-1] = (disk, lba, sectors + child[2], is_write)
+                continue
+        merged.append(child)
+    return tuple(merged)

@@ -43,7 +43,7 @@ from repro.constants import (
     ROADMAP_PLATTER_COUNTS,
     ROADMAP_PLATTER_SIZES_IN,
 )
-from repro.errors import SimulationError
+from repro.errors import SimulationError, TraceError
 from repro.faults import FaultConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
@@ -374,13 +374,15 @@ def build_workload_tasks(
 ) -> List[WorkloadTask]:
     """The (workload, RPM) task grid, workload-major then ladder order.
 
-    Workload names (and the engine name) are validated here, before any
-    fork, so an unknown name fails fast in the parent process.
+    Workload names, the engine name and the request count are validated
+    here, before any fork, so bad input fails fast in the parent process.
     """
     from repro.simulation.fastpath import validate_engine
     from repro.workloads import workload as lookup
 
     validate_engine(engine)
+    if requests < 1:
+        raise TraceError(f"need at least one request, got {requests}")
     tasks: List[WorkloadTask] = []
     for name in names:
         spec = lookup(name)  # validates the name before any fork

@@ -105,7 +105,7 @@ class WorkloadSpec:
         shape = self.shape if rate_scale == 1.0 else self.shape.scaled_rate(rate_scale)
         return generate_trace(
             shape=shape,
-            num_requests=num_requests or self.default_requests,
+            num_requests=self.default_requests if num_requests is None else num_requests,
             capacity_sectors=capacity,
             seed=seed,
         )

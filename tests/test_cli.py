@@ -99,6 +99,27 @@ class TestCommands:
         assert "OLTP" in out
         assert "15000" in out
 
+    def test_workload_table_is_pinned(self, capsys, monkeypatch):
+        # The exact Figure 4 table; the command runs serially in process
+        # whatever backend the environment names.
+        monkeypatch.setenv("REPRO_SWEEP_BACKEND", "shared-store")
+        code, out, _ = run_cli(
+            capsys, "workload", "oltp", "-n", "400", "--steps", "2"
+        )
+        assert code == 0
+        assert out == (
+            "OLTP Application: 400 requests\n"
+            "  RPM  mean ms  median ms  p95 ms  util\n"
+            "-----  -------  ---------  ------  ----\n"
+            "10000     5.74       5.18   11.54  0.29\n"
+            "15000     4.36       3.81    9.18  0.24\n"
+        )
+
+    def test_workload_refuses_zero_requests(self, capsys):
+        code, _, err = run_cli(capsys, "workload", "oltp", "-n", "0")
+        assert code == 1
+        assert "at least one request" in err
+
     def test_throttle(self, capsys):
         code, out, _ = run_cli(
             capsys, "throttle", "--rpm-high", "24534", "--t-cool", "1,4"

@@ -26,13 +26,12 @@ from repro.simulation.disk import standard_disk
 from repro.simulation.events import EventQueue
 from repro.simulation.mechanics import DiskMechanics, ServiceBreakdown
 from repro.simulation.raid import (
-    AccessPlan,
     ArrayGeometry,
-    ChildAccess,
+    Child,
+    Phases,
     Raid0Geometry,
     Raid5Geometry,
 )
-from repro.simulation.request import Request
 
 # ---------------------------------------------------------------------------
 # Mechanics
@@ -258,27 +257,23 @@ class TestEventDrain:
 # ---------------------------------------------------------------------------
 
 
-def generic_plan(geometry: ArrayGeometry, request: Request) -> AccessPlan:
+def generic_plan(geometry: ArrayGeometry, lba: int, sectors: int, is_write: bool) -> Phases:
     """The unit walk plus the full sort-and-merge, with no single-child
     short-circuit."""
-    children = []
-    for unit, offset, length in geometry._units(request):
+    children: List[Child] = []
+    for unit, offset, length in geometry._units(lba, sectors):
         disk, start = geometry.locate_unit(unit)
-        children.append(
-            ChildAccess(disk=disk, lba=start + offset, sectors=length, is_write=request.is_write)
-        )
-    merged: List[ChildAccess] = []
-    for child in sorted(children, key=lambda c: (c.disk, c.is_write, c.lba)):
-        last = merged[-1] if merged else None
-        if (
-            last is not None
-            and (last.disk, last.is_write) == (child.disk, child.is_write)
-            and last.lba + last.sectors == child.lba
-        ):
-            merged[-1] = ChildAccess(last.disk, last.lba, last.sectors + child.sectors, last.is_write)
-        else:
-            merged.append(child)
-    return AccessPlan(phases=[merged])
+        children.append((disk, start + offset, length, is_write))
+    merged: List[Child] = []
+    for child in sorted(children, key=lambda c: (c[0], c[3], c[1])):
+        disk, start, length, write = child
+        if merged:
+            last_disk, last_start, last_length, last_write = merged[-1]
+            if (last_disk, last_write) == (disk, write) and last_start + last_length == start:
+                merged[-1] = (last_disk, last_start, last_length + length, last_write)
+                continue
+        merged.append(child)
+    return (tuple(merged),)
 
 
 class TestRaidPlans:
@@ -290,19 +285,19 @@ class TestRaidPlans:
         for _ in range(800):
             sectors = rng.choice([1, 4, 8, 16, 17, 64, 2048, 5000])
             lba = rng.randrange(0, geometry.logical_sectors - sectors)
-            request = Request(arrival_ms=0.0, lba=lba, sectors=sectors, is_write=rng.random() < 0.3)
+            is_write = rng.random() < 0.3
             if lba % unit + sectors <= unit:
                 single += 1
             else:
                 spanning += 1
-            assert geometry.plan(request) == generic_plan(geometry, request)
+            expected = generic_plan(geometry, lba, sectors, is_write)
+            assert geometry.plan(lba, sectors, is_write) == expected
         assert spanning > 0 and (single > 0 or unit == 1)
 
     def test_raid0_unit_edges(self):
         geometry = Raid0Geometry(disk_count=3, stripe_unit_sectors=16, disk_sectors=4096)
         for lba, sectors in ((0, 16), (15, 1), (15, 2), (16, 16), (31, 33), (0, 48)):
-            request = Request(arrival_ms=0.0, lba=lba, sectors=sectors)
-            assert geometry.plan(request) == generic_plan(geometry, request)
+            assert geometry.plan(lba, sectors, False) == generic_plan(geometry, lba, sectors, False)
 
     def test_raid5_reads_match_generic(self):
         geometry = Raid5Geometry(disk_count=5, stripe_unit_sectors=16, disk_sectors=1 << 18)
@@ -310,5 +305,4 @@ class TestRaidPlans:
         for _ in range(800):
             sectors = rng.choice([1, 4, 8, 16, 32, 64])
             lba = rng.randrange(0, geometry.logical_sectors - sectors)
-            request = Request(arrival_ms=0.0, lba=lba, sectors=sectors, is_write=False)
-            assert geometry.plan(request) == generic_plan(geometry, request)
+            assert geometry.plan(lba, sectors, False) == generic_plan(geometry, lba, sectors, False)

@@ -13,7 +13,6 @@ from repro.performance.rotation import angle_at, wait_for_angle_ms
 from repro.performance.seek import SeekModel, seek_parameters_for_platter
 from repro.simulation.layout import DiskLayout
 from repro.simulation.raid import Raid0Geometry, Raid5Geometry
-from repro.simulation.request import Request
 from repro.simulation.statistics import ResponseTimeStats
 from repro.thermal.network import ThermalNetwork, ThermalNode
 from repro.thermal.viscous import rpm_for_viscous_power, viscous_power_w
@@ -179,23 +178,22 @@ class TestLayoutProperties:
         geometry = Raid5Geometry(disks, stripe, disk_sectors=100_000)
         if lba + sectors > geometry.logical_sectors:
             return
-        request = Request(arrival_ms=0.0, lba=lba, sectors=sectors, is_write=is_write)
-        plan = geometry.plan(request)
-        writes = [c for c in plan.all_children() if c.is_write]
-        reads = [c for c in plan.all_children() if not c.is_write]
+        children = [c for phase in geometry.plan(lba, sectors, is_write) for c in phase]
+        writes = [c for c in children if c[3]]
+        reads = [c for c in children if not c[3]]
         if is_write:
-            data_written = sum(c.sectors for c in writes)
+            data_written = sum(n for _, _, n, _ in writes)
             # Data plus one parity unit per touched stripe row.
             rows = set(
                 u // geometry.data_disks
                 for u in range(lba // stripe, (lba + sectors - 1) // stripe + 1)
             )
             assert data_written == sectors + len(rows) * stripe
-            for child in plan.all_children():
-                assert 0 <= child.disk < disks
+            for disk, _, _, _ in children:
+                assert 0 <= disk < disks
         else:
             assert not writes
-            assert sum(c.sectors for c in reads) == sectors
+            assert sum(n for _, _, n, _ in reads) == sectors
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -208,11 +206,10 @@ class TestLayoutProperties:
         geometry = Raid0Geometry(disks, stripe, disk_sectors=100_000)
         if lba + sectors > geometry.logical_sectors:
             return
-        request = Request(arrival_ms=0.0, lba=lba, sectors=sectors)
-        plan = geometry.plan(request)
-        assert sum(c.sectors for c in plan.all_children()) == sectors
-        for child in plan.all_children():
-            assert child.lba + child.sectors <= 100_000
+        children = [c for phase in geometry.plan(lba, sectors, False) for c in phase]
+        assert sum(n for _, _, n, _ in children) == sectors
+        for _, child_lba, child_sectors, _ in children:
+            assert child_lba + child_sectors <= 100_000
 
 
 class TestStatisticsProperties:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.simulation.cache import DiskCache
 from repro.simulation.raid import Raid1Geometry
-from repro.simulation.request import Request
 from repro.thermal.array import airflow_temperature_rise_c, drive_heat_w
 from repro.thermal.reliability import failure_acceleration, relative_mtbf
 from repro.workloads.disksim_format import read_disksim, write_disksim
@@ -127,16 +126,13 @@ class TestMirrorProperties:
         if lba + sectors > geometry.logical_sectors:
             return
         geometry.set_read_target(target)
-        plan = geometry.plan(
-            Request(arrival_ms=0.0, lba=lba, sectors=sectors, is_write=is_write)
-        )
-        children = list(plan.all_children())
+        children = [c for phase in geometry.plan(lba, sectors, is_write) for c in phase]
         if is_write:
-            assert {c.disk for c in children} == {0, 1}
-            assert all(c.lba == lba and c.sectors == sectors for c in children)
+            assert {disk for disk, _, _, _ in children} == {0, 1}
+            assert all(c_lba == lba and n == sectors for _, c_lba, n, _ in children)
         else:
             assert len(children) == 1
-            assert children[0].disk == target
+            assert children[0][0] == target  # the read's disk
 
 
 class TestThermalScalarProperties:

@@ -6,6 +6,7 @@ from repro.errors import SimulationError
 from repro.simulation import (
     EventQueue,
     Raid0Geometry,
+    Raid1Geometry,
     Raid5Geometry,
     Request,
     StorageArray,
@@ -21,6 +22,11 @@ def write(lba, sectors, arrival=0.0):
     return Request(arrival_ms=arrival, lba=lba, sectors=sectors, is_write=True)
 
 
+def all_children(phases):
+    """Every ``(disk, lba, sectors, is_write)`` child of a plan."""
+    return [child for phase in phases for child in phase]
+
+
 class TestRaid0Geometry:
     @pytest.fixture
     def geometry(self):
@@ -30,41 +36,41 @@ class TestRaid0Geometry:
         assert geometry.logical_sectors == 4 * 1600
 
     def test_small_request_single_disk(self, geometry):
-        plan = geometry.plan(read(0, 8))
-        assert len(plan.phases) == 1
-        assert len(plan.phases[0]) == 1
-        child = plan.phases[0][0]
-        assert child.disk == 0 and child.lba == 0 and child.sectors == 8
+        phases = geometry.plan(0, 8, False)
+        assert len(phases) == 1
+        assert len(phases[0]) == 1
+        disk, lba, sectors, _ = phases[0][0]
+        assert disk == 0 and lba == 0 and sectors == 8
 
     def test_units_rotate_over_disks(self, geometry):
-        disks = [geometry.plan(read(unit * 16, 1)).phases[0][0].disk for unit in range(8)]
+        # The disk of each one-sector read's only child.
+        disks = [geometry.plan(unit * 16, 1, False)[0][0][0] for unit in range(8)]
         assert disks == [0, 1, 2, 3, 0, 1, 2, 3]
 
     def test_large_request_spans_disks(self, geometry):
-        plan = geometry.plan(read(0, 64))
-        children = plan.phases[0]
-        assert {c.disk for c in children} == {0, 1, 2, 3}
-        assert sum(c.sectors for c in children) == 64
+        children = geometry.plan(0, 64, False)[0]
+        assert {disk for disk, _, _, _ in children} == {0, 1, 2, 3}
+        assert sum(sectors for _, _, sectors, _ in children) == 64
 
     def test_total_child_sectors_preserved(self, geometry):
         for lba, sectors in ((5, 3), (10, 40), (100, 77)):
-            plan = geometry.plan(read(lba, sectors))
-            assert sum(c.sectors for c in plan.all_children()) == sectors
+            phases = geometry.plan(lba, sectors, False)
+            assert sum(n for _, _, n, _ in all_children(phases)) == sectors
 
     def test_write_children_are_writes(self, geometry):
-        plan = geometry.plan(write(0, 32))
-        assert all(c.is_write for c in plan.all_children())
+        phases = geometry.plan(0, 32, True)
+        assert all(is_write for _, _, _, is_write in all_children(phases))
 
     def test_rejects_overflow(self, geometry):
         with pytest.raises(SimulationError):
-            geometry.plan(read(geometry.logical_sectors - 4, 8))
+            geometry.plan(geometry.logical_sectors - 4, 8, False)
 
     def test_coalesces_contiguous_same_disk_runs(self):
         # With 1 disk every unit is contiguous on that disk.
         geometry = Raid0Geometry(disk_count=1, stripe_unit_sectors=16, disk_sectors=1600)
-        plan = geometry.plan(read(0, 64))
-        assert len(plan.phases[0]) == 1
-        assert plan.phases[0][0].sectors == 64
+        phases = geometry.plan(0, 64, False)
+        assert len(phases[0]) == 1
+        assert phases[0][0][2] == 64  # sectors
 
 
 class TestRaid5Geometry:
@@ -91,38 +97,54 @@ class TestRaid5Geometry:
             assert disk != geometry.parity_disk(row)
 
     def test_read_has_single_phase_no_parity(self, geometry):
-        plan = geometry.plan(read(0, 32))
-        assert len(plan.phases) == 1
-        assert all(not c.is_write for c in plan.phases[0])
-        assert sum(c.sectors for c in plan.phases[0]) == 32
+        phases = geometry.plan(0, 32, False)
+        assert len(phases) == 1
+        assert all(not is_write for _, _, _, is_write in phases[0])
+        assert sum(sectors for _, _, sectors, _ in phases[0]) == 32
 
     def test_small_write_is_read_modify_write(self, geometry):
-        plan = geometry.plan(write(0, 8))
-        assert len(plan.phases) == 2
-        reads, writes = plan.phases
-        assert all(not c.is_write for c in reads)
-        assert all(c.is_write for c in writes)
+        phases = geometry.plan(0, 8, True)
+        assert len(phases) == 2
+        reads, writes = phases
+        assert all(not is_write for _, _, _, is_write in reads)
+        assert all(is_write for _, _, _, is_write in writes)
         # Old data + old parity read; new data + new parity written.
         assert len(reads) == 2
         assert len(writes) == 2
 
     def test_full_stripe_write_skips_preread(self, geometry):
         full_stripe_sectors = geometry.data_disks * geometry.stripe_unit
-        plan = geometry.plan(write(0, full_stripe_sectors))
-        assert len(plan.phases) == 1
-        writes = plan.phases[0]
-        assert all(c.is_write for c in writes)
+        phases = geometry.plan(0, full_stripe_sectors, True)
+        assert len(phases) == 1
+        writes = phases[0]
+        assert all(is_write for _, _, _, is_write in writes)
         # Data on 3 disks plus parity on 1: all four spindles engaged.
-        assert {c.disk for c in writes} == {0, 1, 2, 3}
-        assert sum(c.sectors for c in writes) == full_stripe_sectors + geometry.stripe_unit
+        assert {disk for disk, _, _, _ in writes} == {0, 1, 2, 3}
+        written = sum(sectors for _, _, sectors, _ in writes)
+        assert written == full_stripe_sectors + geometry.stripe_unit
 
     def test_write_includes_parity_per_row(self, geometry):
-        plan = geometry.plan(write(0, 8))
-        writes = plan.phases[-1]
-        parity_children = [
-            c for c in writes if c.disk == geometry.parity_disk(0)
+        writes = geometry.plan(0, 8, True)[-1]
+        parity_sectors = [
+            sectors for disk, _, sectors, _ in writes if disk == geometry.parity_disk(0)
         ]
-        assert parity_children and parity_children[0].sectors == 16
+        assert parity_sectors and parity_sectors[0] == 16
+
+
+@pytest.mark.parametrize(
+    "geometry",
+    [
+        Raid0Geometry(disk_count=4, stripe_unit_sectors=16, disk_sectors=1600),
+        Raid5Geometry(disk_count=4, stripe_unit_sectors=16, disk_sectors=1600),
+        Raid1Geometry(disk_sectors=1600),
+    ],
+    ids=["raid0", "raid5", "raid1"],
+)
+@pytest.mark.parametrize("lba, sectors", [(-1, 8), (0, 0), (0, -1)])
+@pytest.mark.parametrize("is_write", [False, True])
+def test_plan_refuses_negative_lba_and_empty_access(geometry, lba, sectors, is_write):
+    with pytest.raises(SimulationError):
+        geometry.plan(lba, sectors, is_write)
 
 
 class TestStorageArray:

@@ -166,6 +166,16 @@ class TestWorkloadSweep:
         with pytest.raises(TraceError):
             sweep_workloads(["nonesuch"], requests=100, workers=2)
 
+    @pytest.mark.parametrize("requests", [0, -5])
+    def test_request_count_below_one_raises_before_fork(self, requests):
+        from repro.errors import TraceError
+        from repro.simulation.sweep import build_workload_tasks
+
+        with pytest.raises(TraceError):
+            build_workload_tasks(["tpcc"], requests=requests)
+        with pytest.raises(TraceError):
+            sweep_workloads(["tpcc"], rpm_steps=1, requests=requests, workers=0)
+
     def test_summary_fields_consistent(self):
         (result,) = sweep_workloads(
             ["tpcc"], rpms=(15000.0,), requests=400, workers=1, keep_samples=True

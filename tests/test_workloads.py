@@ -243,6 +243,13 @@ class TestCatalog:
         trace = spec.generate(num_requests=200, seed=0)
         assert trace.max_lba() <= spec.build_system().array.logical_sectors
 
+    def test_generate_refuses_zero_requests(self):
+        with pytest.raises(TraceError):
+            workload("tpcc").generate(num_requests=0)
+
+    def test_generate_defaults_to_the_spec_request_count(self):
+        assert len(workload("tpcc").generate()) == 20000
+
     def test_raid5_uses_16_sector_stripes(self):
         assert workload("tpcc").stripe_unit_sectors == 16
         assert workload("oltp").stripe_unit_sectors == 2048
