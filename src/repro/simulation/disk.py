@@ -9,7 +9,7 @@ request at a time, drawing the next from its scheduler.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from repro.capacity.zones import ZonedSurface
@@ -305,6 +305,11 @@ class SimulatedDisk:
             self.busy = False
 
 
+#: Distinct drive mechanisms one process keeps built.  The workload
+#: catalog has three, and one fresh service job cycles through all of them.
+MECHANISM_MEMO_SIZE = 8
+
+
 def standard_mechanism(
     diameter_in: float = 3.3,
     platters: int = 2,
@@ -313,7 +318,25 @@ def standard_mechanism(
     zone_count: int = 30,
 ) -> Tuple[DiskLayout, SeekModel]:
     """The ZBR layout and seek curve of a disk built from drive-model
-    parameters (see :func:`standard_disk`), without the disk itself."""
+    parameters (see :func:`standard_disk`), without the disk itself.
+
+    Built once per distinct value per process: equal parameters, however
+    they are passed, return the very same objects, so the member disks
+    of an array, the rungs of an RPM ladder and successive jobs of one
+    process all share them.  Nothing mutates either after construction
+    (their lazy tables are pure), so sharing is safe across threads.
+    """
+    return _mechanism(diameter_in, platters, kbpi, ktpi, zone_count)
+
+
+# Per-process memo of a pure builder: every process builds identical
+# mechanisms for a key, so copies cannot diverge observably.  ``typed``
+# keeps ``480`` and ``480.0`` apart, so each caller gets exactly what an
+# unmemoized build of its own arguments would give.
+@lru_cache(maxsize=MECHANISM_MEMO_SIZE, typed=True)
+def _mechanism(
+    diameter_in: float, platters: int, kbpi: float, ktpi: float, zone_count: int
+) -> Tuple[DiskLayout, SeekModel]:
     from repro.capacity.recording import RecordingTechnology
 
     surface = ZonedSurface(

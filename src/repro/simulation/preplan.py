@@ -7,9 +7,11 @@ disks do not.  This module computes those once per process and hands
 them to every engine (exact, vectorized, analytic):
 
 * :func:`spec_geometry` — the RPM-independent geometry of a workload's
-  array: one member disk's layout and seek curve (the members are
-  identical) and the array's striping, built without disks, caches or
-  schedulers.  ``WorkloadSpec.generate`` sizes traces from it.
+  array: the layout and seek curve every member disk maps through (the
+  very objects :func:`~repro.simulation.disk.standard_mechanism` hands
+  ``build_system``, built once per distinct drive per process) and the
+  array's striping, built without disks, caches or schedulers.
+  ``WorkloadSpec.generate`` sizes traces from it.
 * :func:`preplan` — the trace of ``(spec, requests, seed)`` and, for
   each request, its phased child accesses as plain
   ``(disk, lba, sectors, is_write)`` tuples
@@ -45,8 +47,8 @@ class SpecGeometry:
     """RPM-independent geometry of one workload's array.
 
     Attributes:
-        layout: a member disk's LBA mapping.
-        seek_model: a member disk's seek curve.
+        layout: the LBA mapping every member disk shares.
+        seek_model: the seek curve every member disk shares.
         array: the striping geometry (RAID-0 or RAID-5).
         seek_table: the fast engines' seek time per cylinder distance,
             filled on first use (it needs numpy).
@@ -112,8 +114,8 @@ _PREPLAN: Dict[Tuple[Any, ...], PrePlan] = {}
 
 def spec_geometry(spec: "WorkloadSpec") -> SpecGeometry:
     """The memoized RPM-independent geometry of ``spec``'s array —
-    the same layout, seek curve and striping ``spec.build_system``
-    builds for every member disk."""
+    the same striping ``spec.build_system`` builds, and the very layout
+    and seek curve objects its member disks map through."""
     key = (
         spec.disk_count,
         spec.disk_capacity_gb,

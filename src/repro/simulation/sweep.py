@@ -374,8 +374,9 @@ def build_workload_tasks(
 ) -> List[WorkloadTask]:
     """The (workload, RPM) task grid, workload-major then ladder order.
 
-    Workload names, the engine name and the request count are validated
-    here, before any fork, so bad input fails fast in the parent process.
+    Workload names, the engine name, the request count and the ladder
+    length are validated here, before any fork, so bad input fails fast
+    in the parent process.
     """
     from repro.simulation.fastpath import validate_engine
     from repro.workloads import workload as lookup
@@ -383,6 +384,10 @@ def build_workload_tasks(
     validate_engine(engine)
     if requests < 1:
         raise TraceError(f"need at least one request, got {requests}")
+    if rpms is None and rpm_steps < 1:
+        raise SimulationError(f"need at least one RPM step, got {rpm_steps}")
+    if rpms is not None and not rpms:
+        raise SimulationError("need at least one RPM, got an empty ladder")
     tasks: List[WorkloadTask] = []
     for name in names:
         spec = lookup(name)  # validates the name before any fork

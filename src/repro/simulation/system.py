@@ -18,7 +18,8 @@ if TYPE_CHECKING:  # pragma: no cover - cycle broken at runtime
     from repro.faults import FaultConfig
     from repro.telemetry import Telemetry
 from repro.simulation.array import StorageArray
-from repro.simulation.disk import SimulatedDisk, standard_disk
+from repro.simulation.cache import DiskCache
+from repro.simulation.disk import SimulatedDisk, standard_mechanism
 from repro.simulation.events import EventQueue
 from repro.simulation.raid import ArrayGeometry, Phases, Raid0Geometry, Raid5Geometry
 from repro.simulation.request import Request
@@ -266,17 +267,27 @@ def build_system(
 ) -> StorageSystem:
     """Build a storage system from workload-table parameters (Fig. 4a).
 
-    The member disks come from the library's drive models (layout, seek
-    curve); ``disk_capacity_gb`` clips the usable portion of each disk so a
-    trace's address space matches the paper's systems even when the modeled
-    media holds more.  When ``fault_config`` injects disk faults, each
-    member disk gets its own injector keyed by the disk's name, so the
-    fault sequence is independent of disk count and replay order.
+    The member disks come from the library's drive models and share one
+    layout and seek curve (:func:`~repro.simulation.disk.standard_mechanism`
+    builds each distinct drive once per process); each keeps its own
+    mechanics, cache, scheduler and statistics.  ``disk_capacity_gb``
+    clips the usable portion of each disk so a trace's address space
+    matches the paper's systems even when the modeled media holds more.
+    When ``fault_config`` injects disk faults, each member disk gets its
+    own injector keyed by the disk's name, so the fault sequence is
+    independent of disk count and replay order.
     """
     if disk_count < 1:
         raise SimulationError(f"disk count must be >= 1, got {disk_count}")
     if disk_capacity_gb <= 0:
         raise SimulationError("disk capacity must be positive")
+    layout, seek_model = standard_mechanism(
+        diameter_in=diameter_in,
+        platters=platters,
+        kbpi=kbpi,
+        ktpi=ktpi,
+        zone_count=zone_count,
+    )
     events = EventQueue()
     disks: List[SimulatedDisk] = []
     from repro.simulation.scheduler import make_scheduler
@@ -289,30 +300,28 @@ def build_system(
             if inject and fault_config is not None
             else None
         )
-        disk = standard_disk(
-            name=name,
-            events=events,
-            diameter_in=diameter_in,
-            platters=platters,
-            kbpi=kbpi,
-            ktpi=ktpi,
-            rpm=rpm,
-            zone_count=zone_count,
-            cache_bytes=cache_bytes,
-            telemetry=telemetry,
-            fault_injector=injector,
+        disks.append(
+            SimulatedDisk(
+                name=name,
+                layout=layout,
+                seek_model=seek_model,
+                rpm=rpm,
+                events=events,
+                cache=DiskCache(size_bytes=cache_bytes) if cache_bytes > 0 else None,
+                scheduler=make_scheduler(
+                    scheduler_name,
+                    layout.cylinder_of,
+                    telemetry=telemetry,
+                    subject=name,
+                ),
+                telemetry=telemetry,
+                fault_injector=injector,
+            )
         )
-        disk.scheduler = make_scheduler(
-            scheduler_name,
-            disk.layout.cylinder_of,
-            telemetry=telemetry,
-            subject=disk.name,
-        )
-        disks.append(disk)
     geometry = array_geometry(
         disk_count,
         disk_capacity_gb,
-        disks[0].total_sectors,
+        layout.total_sectors,
         raid5=raid5,
         stripe_unit_sectors=stripe_unit_sectors,
     )

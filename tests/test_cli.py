@@ -120,6 +120,20 @@ class TestCommands:
         assert code == 1
         assert "at least one request" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["workload", "oltp", "--steps", "0"],
+            ["sweep", "workload", "oltp", "--steps", "0"],
+            ["sweep", "workload", "oltp", "--rpms", ""],
+        ],
+    )
+    def test_workload_refuses_an_empty_ladder(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "-n", "400")
+        assert code == 1
+        assert "at least one RPM" in err
+        assert out == ""
+
     def test_throttle(self, capsys):
         code, out, _ = run_cli(
             capsys, "throttle", "--rpm-high", "24534", "--t-cool", "1,4"

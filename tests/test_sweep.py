@@ -176,6 +176,23 @@ class TestWorkloadSweep:
         with pytest.raises(TraceError):
             sweep_workloads(["tpcc"], rpm_steps=1, requests=requests, workers=0)
 
+    @pytest.mark.parametrize("steps", [0, -2])
+    def test_empty_ladder_raises_before_fork(self, steps):
+        from repro.errors import SimulationError
+        from repro.simulation.sweep import build_workload_tasks
+
+        with pytest.raises(SimulationError, match="at least one RPM step"):
+            build_workload_tasks(["tpcc"], rpm_steps=steps, requests=50)
+        with pytest.raises(SimulationError, match="at least one RPM step"):
+            sweep_workloads(["tpcc"], rpm_steps=steps, requests=50, workers=0)
+        # An explicit ladder does not read ``rpm_steps``, but must not be empty.
+        (task,) = build_workload_tasks(
+            ["tpcc"], rpms=(15000.0,), rpm_steps=steps, requests=50
+        )
+        assert task.rpm == 15000.0
+        with pytest.raises(SimulationError, match="empty ladder"):
+            build_workload_tasks(["tpcc"], rpms=(), requests=50)
+
     def test_summary_fields_consistent(self):
         (result,) = sweep_workloads(
             ["tpcc"], rpms=(15000.0,), requests=400, workers=1, keep_samples=True
