@@ -26,7 +26,8 @@ cheap without leaving the calibrated model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.constants import AMBIENT_TEMPERATURE_C
 from repro.errors import FleetError
@@ -48,8 +49,9 @@ __all__ = [
 #: process's memo entries bit-identical.
 _RISE_REFERENCE_C = AMBIENT_TEMPERATURE_C
 
-#: Memoized (VCM-off rise, VCM-on rise) per drive geometry and speed.
-_RISE_CACHE: Dict[Tuple[float, int, float], Tuple[float, float]] = {}
+#: Distinct drive geometries and speeds one process keeps the rises of.
+#: A client of ``repro serve`` picks all three, so the memo is bounded.
+RISE_MEMO_SIZE = 256
 
 
 def drive_air_rise_c(
@@ -67,32 +69,33 @@ def drive_air_rise_c(
     """
     if not 0.0 <= vcm_duty <= 1.0:
         raise FleetError(f"vcm duty must be in [0, 1], got {vcm_duty}")
-    key = (diameter_in, platter_count, rpm)
-    # Pure memo of a deterministic model solve at a pinned reference
-    # ambient: every process computes bit-identical values for a key, so
-    # copies cannot diverge observably.
-    # thermolint: disable=TL012
-    rises = _RISE_CACHE.get(key)
-    if rises is None:
-        off = steady_air_temperature_c(
-            diameter_in,
-            rpm,
-            platter_count=platter_count,
-            ambient_c=_RISE_REFERENCE_C,
-            vcm_active=False,
-        )
-        on = steady_air_temperature_c(
-            diameter_in,
-            rpm,
-            platter_count=platter_count,
-            ambient_c=_RISE_REFERENCE_C,
-            vcm_active=True,
-        )
-        rises = (off - _RISE_REFERENCE_C, on - _RISE_REFERENCE_C)
-        # thermolint: disable=TL012
-        _RISE_CACHE[key] = rises
-    rise_off, rise_on = rises
+    rise_off, rise_on = _drive_rises_c(diameter_in, platter_count, rpm)
     return rise_off + vcm_duty * (rise_on - rise_off)
+
+
+# Pure memo of a deterministic model solve at a pinned reference
+# ambient: every process computes bit-identical values for a key, so
+# copies cannot diverge observably.
+@lru_cache(maxsize=RISE_MEMO_SIZE, typed=True)
+def _drive_rises_c(
+    diameter_in: float, platter_count: int, rpm: float
+) -> Tuple[float, float]:
+    """(VCM-off rise, VCM-on rise) of one drive geometry and speed."""
+    off = steady_air_temperature_c(
+        diameter_in,
+        rpm,
+        platter_count=platter_count,
+        ambient_c=_RISE_REFERENCE_C,
+        vcm_active=False,
+    )
+    on = steady_air_temperature_c(
+        diameter_in,
+        rpm,
+        platter_count=platter_count,
+        ambient_c=_RISE_REFERENCE_C,
+        vcm_active=True,
+    )
+    return (off - _RISE_REFERENCE_C, on - _RISE_REFERENCE_C)
 
 
 @dataclass(frozen=True)
@@ -171,19 +174,27 @@ def _check_rpms(rack: RackSpec, rpms: Sequence[Sequence[float]]) -> None:
                 raise FleetError(f"rpm must be positive, got {rpm}")
 
 
+def _drive_heats_w(spec: EnclosureSpec, rpms: Sequence[float]) -> List[float]:
+    """The heat each drive of one enclosure dumps, in slot order."""
+    return [
+        drive_heat_w(
+            rpm, spec.diameter_in, spec.platter_count, vcm_duty=spec.vcm_duty
+        )
+        for rpm in rpms
+    ]
+
+
 def _enclosure_profile(
     spec: EnclosureSpec,
     index: int,
     inlet_c: float,
     rpms: Sequence[float],
+    heats: Sequence[float],
 ) -> EnclosureProfile:
     drives = []
     local = inlet_c
     total_heat = 0.0
-    for slot, rpm in enumerate(rpms):
-        heat = drive_heat_w(
-            rpm, spec.diameter_in, spec.platter_count, vcm_duty=spec.vcm_duty
-        )
+    for slot, (rpm, heat) in enumerate(zip(rpms, heats)):
         internal = local + drive_air_rise_c(
             spec.diameter_in, spec.platter_count, rpm, spec.vcm_duty
         )
@@ -246,22 +257,21 @@ def rack_profile(
     _check_rpms(rack, rpms)
     # First pass: each enclosure's exhaust rise depends only on its own
     # heat and airflow, not on its inlet (linearity again), so the
-    # between-enclosure coupling resolves in one sweep.
-    rises = []
-    for index, enclosure in enumerate(rack.enclosures):
-        heat = sum(
-            drive_heat_w(
-                rpm,
-                enclosure.diameter_in,
-                enclosure.platter_count,
-                vcm_duty=enclosure.vcm_duty,
-            )
-            for rpm in rpms[index]
-        )
-        rises.append(airflow_temperature_rise_c(heat, enclosure.airflow_m3_per_s))
+    # between-enclosure coupling resolves in one sweep.  Each drive's
+    # heat is computed here once and reused by the per-slot pass.
+    heats = [
+        _drive_heats_w(enclosure, rpms[index])
+        for index, enclosure in enumerate(rack.enclosures)
+    ]
+    rises = [
+        airflow_temperature_rise_c(sum(heats[index]), enclosure.airflow_m3_per_s)
+        for index, enclosure in enumerate(rack.enclosures)
+    ]
     inlets = enclosure_inlets_c(rack, rises)
     profiles = tuple(
-        _enclosure_profile(enclosure, index, inlets[index], rpms[index])
+        _enclosure_profile(
+            enclosure, index, inlets[index], rpms[index], heats[index]
+        )
         for index, enclosure in enumerate(rack.enclosures)
     )
     return RackProfile(rack=rack.name, inlet_c=rack.inlet_c, enclosures=profiles)

@@ -447,9 +447,11 @@ class JobManager:
 
         For a job's config key this is the :data:`RESULTS_SCHEMA`
         document, byte-identical to ``repro sweep workload
-        --results-out`` for the same config.  If the assembled document
-        was evicted but every per-task entry survives, it is rebuilt
-        from them (and re-persisted) transparently.
+        --results-out`` for the same config.  A stored document is served
+        as the text the store's integrity check verified, not serialized
+        again.  If the assembled document was evicted but every per-task
+        entry survives, it is rebuilt from them (and re-persisted)
+        transparently.
         """
         from repro.errors import StoreError
         from repro.store import stable_json
@@ -458,13 +460,14 @@ class JobManager:
             self.store._check_key(key)
         except StoreError as exc:
             raise ServiceError(str(exc), status=400) from exc
-        payload = self.store.get(key)
-        if payload is None:
+        text = self.store.get_text(key)
+        if text is None:
             payload = self._rebuild_results(key)
-        if payload is None:
-            raise ServiceError(f"no result under key {key}", status=404)
+            if payload is None:
+                raise ServiceError(f"no result under key {key}", status=404)
+            text = stable_json(payload)
         self._count("service.results_served")
-        return (stable_json(payload) + "\n").encode("utf-8")
+        return (text + "\n").encode("utf-8")
 
     def _rebuild_results(self, key: str) -> Optional[Any]:
         """Reassemble a job's results document from its per-task entries."""

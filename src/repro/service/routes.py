@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -71,10 +72,28 @@ class Request:
     body: bytes
 
     def json(self) -> Any:
+        """The body parsed as strict JSON: ``NaN``, ``Infinity`` and
+        numbers that overflow a float (``1e400``) are refused, since no
+        job config can mean them and a stored result cannot hold them."""
         try:
-            return json.loads(self.body.decode("utf-8"))
+            return json.loads(
+                self.body.decode("utf-8"),
+                parse_constant=_refuse_constant,
+                parse_float=_finite_float,
+            )
         except (UnicodeDecodeError, ValueError) as exc:
             raise ServiceError(f"request body is not valid JSON: {exc}") from exc
+
+
+def _refuse_constant(name: str) -> Any:
+    raise ValueError(f"non-finite number {name}")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text} is not finite as a float")
+    return value
 
 
 @dataclass

@@ -137,9 +137,9 @@ def _parse_config(cls: type, payload: Mapping[str, Any]) -> Any:
                 for v in value
             ):
                 raise ServiceError(f"{f.name!r} must be a non-empty list of numbers")
-            value = tuple(float(v) for v in value)
+            value = tuple(_as_float(f.name, v) for v in value)
         elif f.scalar is float:
-            value = float(value)
+            value = _as_float(f.name, value)
         values[f.name] = value
     config = cls(**values)
     for name in cls.positive_fields:  # type: ignore[attr-defined]
@@ -150,6 +150,15 @@ def _parse_config(cls: type, payload: Mapping[str, Any]) -> Any:
     if config.workers is not None and config.workers < 0:
         raise ServiceError("'workers' must be >= 0")
     return config
+
+
+def _as_float(name: str, value: Any) -> float:
+    """A JSON number as a float field's value; an integer too large for a
+    float is refused like the non-finite literals the body parser refuses."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ServiceError(f"field {name!r} does not fit a float") from None
 
 
 #: Job config class per wire-protocol ``kind``.

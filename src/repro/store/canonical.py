@@ -56,6 +56,7 @@ __all__ = [
     "stable_json",
     "config_key",
     "payload_digest",
+    "text_digest",
     "encode_payload",
     "decode_payload",
     "record_payload",
@@ -179,7 +180,7 @@ def config_key(
             "store_schema": STORE_SCHEMA,
             "code_schema": schema_version,
             "kind": kind,
-            "config": canonicalize(config),
+            "config": config,
         }
     )
     return hashlib.blake2b(
@@ -189,9 +190,13 @@ def config_key(
 
 def payload_digest(payload: Any) -> str:
     """Integrity digest of a stored payload (over its stable serialization)."""
-    return hashlib.blake2b(
-        stable_json(payload).encode("utf-8"), digest_size=16
-    ).hexdigest()
+    return text_digest(stable_json(payload))
+
+
+def text_digest(text: str) -> str:
+    """:func:`payload_digest` of a payload already serialized by
+    :func:`stable_json`, without serializing it again."""
+    return hashlib.blake2b(text.encode("utf-8"), digest_size=16).hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -36,15 +36,15 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import StoreError
 from repro.store.canonical import (
     KEY_HEX_LENGTH,
     STORE_SCHEMA,
-    payload_digest,
     record_payload,
     stable_json,
+    text_digest,
 )
 from repro.units import MIB
 
@@ -312,6 +312,21 @@ class ResultStore:
         miss — the caller recomputes, the bad bytes are preserved for
         inspection, and the sweep never crashes on cache state.
         """
+        entry = self._fetch(key)
+        return entry[0] if entry is not None else None
+
+    def get_text(self, key: str) -> Optional[str]:
+        """:meth:`get` one payload as its verified :func:`stable_json` text.
+
+        The integrity check serializes the parsed payload to match it to
+        its digest; this returns that very text, so a caller serving the
+        bytes does not serialize the payload a second time.
+        """
+        entry = self._fetch(key)
+        return entry[1] if entry is not None else None
+
+    def _fetch(self, key: str) -> Optional[Tuple[Any, str]]:
+        """(payload, verified text) of one entry, counted as a hit or miss."""
         path = self.path_for(key)
         try:
             raw = path.read_text(encoding="utf-8")
@@ -323,8 +338,8 @@ class ResultStore:
             # A bit-flip can make the bytes invalid UTF-8 before they are
             # invalid JSON; that is corruption, not a miss-by-absence.
             raw = None
-        payload = self._validate(key, raw) if raw is not None else None
-        if payload is None:
+        entry = self._validate(key, raw) if raw is not None else None
+        if entry is None:
             self._quarantine(path, key)
             self.misses += 1
             self._count("store.miss")
@@ -335,10 +350,16 @@ class ResultStore:
             pass
         self.hits += 1
         self._count("store.hit")
-        return payload
+        return entry
 
-    def _validate(self, key: str, raw: str) -> Optional[Any]:
-        """Parse + integrity-check one envelope; None when corrupt."""
+    def _validate(self, key: str, raw: str) -> Optional[Tuple[Any, str]]:
+        """Parse + integrity-check one envelope: the payload and its
+        :func:`stable_json` text, or None when corrupt.
+
+        The digest is checked against the payload as parsed and serialized
+        again, never against the raw bytes on disk, and that serialization
+        is the text returned.
+        """
         try:
             envelope = json.loads(raw)
         except ValueError:
@@ -351,9 +372,13 @@ class ResultStore:
             return None
         if "payload" not in envelope or "payload_digest" not in envelope:
             return None
-        if payload_digest(envelope["payload"]) != envelope["payload_digest"]:
+        payload = envelope["payload"]
+        if payload is None:  # get's None means a miss: null is not servable
             return None
-        return envelope["payload"]
+        text = stable_json(payload)
+        if text_digest(text) != envelope["payload_digest"]:
+            return None
+        return payload, text
 
     def _quarantine(self, path: Path, key: str) -> None:
         """Move a failed entry aside and count it."""
@@ -422,16 +447,19 @@ class ResultStore:
         Re-putting an existing key overwrites it (the content address
         guarantees the payload is equivalent, and overwriting self-heals
         any quarantined or evicted entry).
+
+        The payload is serialized once: its text is both digested and
+        spliced into the envelope, which makes the document
+        byte-identical to ``stable_json(envelope) + "\n"`` (the envelope
+        keys sort as key < kind < payload < payload_digest < schema).
         """
         path = self.path_for(key)
-        envelope = {
-            "schema": STORE_SCHEMA,
-            "key": key,
-            "kind": kind,
-            "payload": payload,
-            "payload_digest": payload_digest(payload),
-        }
-        document = stable_json(envelope) + "\n"
+        text = stable_json(payload)
+        document = (
+            f'{{"key":{stable_json(key)},"kind":{stable_json(kind)},'
+            f'"payload":{text},"payload_digest":{stable_json(text_digest(text))},'
+            f'"schema":{stable_json(STORE_SCHEMA)}}}\n'
+        )
         path.parent.mkdir(parents=True, exist_ok=True)
         handle = tempfile.NamedTemporaryFile(
             mode="w",
@@ -520,10 +548,10 @@ class ResultStore:
                 self._check_key(key)
                 raw = path.read_text(encoding="utf-8")
             except (StoreError, OSError, UnicodeDecodeError):
-                payload = None
+                entry = None
             else:
-                payload = self._validate(key, raw)
-            if payload is None:
+                entry = self._validate(key, raw)
+            if entry is None:
                 report.corrupt += 1
                 report.quarantined_keys.append(key)
                 if quarantine:

@@ -14,6 +14,7 @@ Each drive then runs the standard single-drive model at its local ambient.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional
 
 from repro.constants import AMBIENT_TEMPERATURE_C, THERMAL_ENVELOPE_C
@@ -53,13 +54,39 @@ def drive_heat_w(
     vcm_duty: float = 1.0,
     spm_power_w: Optional[float] = None,
 ) -> float:
-    """Total heat one drive dumps into the cooling stream, watts."""
+    """Total heat one drive dumps into the cooling stream, watts.
+
+    Computed once per distinct value per process: a rack solve asks for
+    the same few drive types at the same few speeds thousands of times.
+    The duty is checked on every call, before the memo.
+    """
     if not 0.0 <= vcm_duty <= 1.0:
         raise ThermalError("vcm duty must be in [0, 1]")
     if spm_power_w is None:
         from repro.thermal.model import DEFAULT_CALIBRATION
 
         spm_power_w = DEFAULT_CALIBRATION.spm_power_w
+    return _drive_heat_w(rpm, diameter_in, platter_count, vcm_duty, spm_power_w)
+
+
+#: Distinct drive heats one process keeps.  A fleet job needs one per
+#: enclosure type and ladder level; a service serves many such jobs.
+HEAT_MEMO_SIZE = 256
+
+
+# Per-process memo of a pure sum: every process computes bit-identical
+# heats for a key, so copies cannot diverge observably.  ``typed`` keeps
+# ``15000`` and ``15000.0`` apart, so each caller gets exactly what an
+# unmemoized sum of its own arguments would give.  Invalid geometry
+# raises and is never cached, so it raises on every call.
+@lru_cache(maxsize=HEAT_MEMO_SIZE, typed=True)
+def _drive_heat_w(
+    rpm: float,
+    diameter_in: float,
+    platter_count: int,
+    vcm_duty: float,
+    spm_power_w: float,
+) -> float:
     return (
         viscous_power_w(rpm, diameter_in, platter_count)
         + spm_power_w

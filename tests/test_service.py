@@ -28,7 +28,8 @@ from repro.service import (
 )
 from repro.service.jobs import JOB_DONE, JOB_FAILED, TASK_CACHED, TASK_DONE
 from repro.simulation.sweep import results_json_bytes, sweep_workloads
-from repro.store import ResultStore
+from repro.store import ResultStore, stable_json
+from repro.store.canonical import text_digest
 from repro.telemetry import Telemetry
 
 #: Small-but-not-instant sweep: two tasks at ~0.1 s each on the serial
@@ -38,6 +39,17 @@ PAYLOAD = {
     "rpm_steps": 2,
     "requests": 120,
     "seed": 11,
+    "backend": "serial",
+}
+
+#: A small fleet job: two racks of 3 x 4 drives, one throttle round.
+FLEET_PAYLOAD = {
+    "kind": "fleet_sweep",
+    "racks": 2,
+    "enclosures_per_rack": 3,
+    "drives_per_enclosure": 4,
+    "cooling_budget_w": 150.0,
+    "max_rounds": 1,
     "backend": "serial",
 }
 
@@ -274,6 +286,42 @@ class TestJobManager:
         assert exc.value.status == 404
         manager.drain(timeout_s=10.0)
 
+    def test_results_bytes_are_the_stored_payload_serialized(self, tmp_path):
+        manager = _manager(tmp_path)
+        job, _ = manager.submit(FLEET_PAYLOAD)
+        manager.wait_for_job(job.id, timeout_s=60.0)
+        assert job.state == JOB_DONE
+        stored = manager.results_bytes(job.key)
+        assert stored == (stable_json(manager.store.get(job.key)) + "\n").encode()
+        # Evict the assembled document: the rebuild from the per-task
+        # entries serves the same bytes and re-persists the document.
+        manager.store.path_for(job.key).unlink()
+        rebuilt = manager.results_bytes(job.key)
+        assert rebuilt == stored
+        assert manager.store.get_text(job.key) + "\n" == stored.decode()
+        manager.drain(timeout_s=10.0)
+
+    def test_results_bytes_quarantine_a_tampered_document(self, tmp_path):
+        manager = _manager(tmp_path)
+        job, _ = manager.submit(FLEET_PAYLOAD)
+        manager.wait_for_job(job.id, timeout_s=60.0)
+        expected = manager.results_bytes(job.key)
+        path = manager.store.path_for(job.key)
+        envelope = json.loads(path.read_text())
+        # Re-spaced on disk, same digest: the served text is the verified
+        # re-serialization, never the raw file.
+        path.write_text(json.dumps(envelope, indent=2))
+        assert manager.results_bytes(job.key) == expected
+        assert manager.store.corrupt == 0
+        # Re-spaced and re-digested over its own raw text: quarantined,
+        # and the fetch rebuilds the document from the per-task entries.
+        raw = json.dumps(envelope.pop("payload"), indent=2, sort_keys=True)
+        envelope["payload_digest"] = text_digest(raw)
+        path.write_text('{"payload": ' + raw + ", " + json.dumps(envelope)[1:])
+        assert manager.results_bytes(job.key) == expected
+        assert manager.store.corrupt == 1
+        manager.drain(timeout_s=10.0)
+
     def test_get_unknown_job_is_404(self, tmp_path):
         manager = _manager(tmp_path)
         with pytest.raises(ServiceError) as exc:
@@ -441,6 +489,49 @@ class TestHTTP:
 
             status, _ = service.request("POST", "/v1/jobs", None)
             assert status == 400  # empty body is not valid JSON
+
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (b'{"kind": "fleet_sweep", "racks": 1, "inlet_c": NaN}', "non-finite number NaN"),
+            (
+                b'{"kind": "fleet_sweep", "racks": 1, "rpm_levels": [9600, Infinity]}',
+                "non-finite number Infinity",
+            ),
+            (
+                b'{"kind": "fleet_sweep", "racks": 1, "envelope_c": -Infinity}',
+                "non-finite number -Infinity",
+            ),
+            (b'{"kind": "fleet_sweep", "racks": 1, "inlet_c": 1e400}', "1e400 is not finite"),
+            (
+                b'{"workloads": ["tpcc"], "requests": 50, "media_rate": -1e400}',
+                "-1e400 is not finite",
+            ),
+            (
+                b'{"kind": "fleet_sweep", "racks": 1, "inlet_c": 1' + b"0" * 400 + b"}",
+                "'inlet_c' does not fit a float",
+            ),
+            (
+                b'{"kind": "fleet_sweep", "racks": 1, "rpm_levels": [-1' + b"0" * 400 + b"]}",
+                "'rpm_levels' does not fit a float",
+            ),
+        ],
+    )
+    def test_non_finite_numbers_are_refused_at_the_wire(self, tmp_path, body, message):
+        with _Service(tmp_path) as service:
+            conn = http.client.HTTPConnection("127.0.0.1", service.app.port, timeout=60)
+            try:
+                conn.request("POST", "/v1/jobs", body=body)
+                response = conn.getresponse()
+                status, reply = response.status, json.loads(response.read())
+            finally:
+                conn.close()
+            assert status == 400
+            assert message in reply["error"]
+            assert service.app.manager.jobs() == []
+            status, listing = service.json("GET", "/v1/jobs")
+            assert (status, listing["jobs"]) == (200, [])
 
 
 def _fuzz_cases(seed=0x5EED, per_family=12):

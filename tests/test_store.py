@@ -12,6 +12,7 @@ import dataclasses
 import json
 import math
 import os
+import random
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -28,15 +29,18 @@ from repro.simulation.sweep import (
     workload_task_key,
 )
 from repro.store import (
+    STORE_SCHEMA,
     ResultStore,
     config_key,
     default_store_root,
+    encode_payload,
     material,
     payload_digest,
     record_from_payload,
     record_payload,
     stable_json,
 )
+from repro.store.canonical import text_digest
 from repro.telemetry import Telemetry
 
 
@@ -102,6 +106,100 @@ class TestBasicOperations:
         monkeypatch.setenv("REPRO_STORE_MAX_BYTES", "-5")
         with pytest.raises(StoreError):
             ResultStore(root=tmp_path)
+
+
+def _seeded_payload(rng, depth=0):
+    """A JSON-shaped payload with non-ASCII strings, nested lists,
+    ``$repro.float`` tags, ints, floats and nulls."""
+    leaves = [
+        lambda: rng.randint(-(10**12), 10**12),
+        lambda: rng.uniform(-1e6, 1e6),
+        lambda: rng.choice(["", "plain", "\u00e9t\u00e9", "\u6e29\u5ea6", "\U0001f321", 'q"\\\n']),
+        lambda: rng.choice([None, True, False]),
+        lambda: encode_payload(rng.choice([math.inf, -math.inf, math.nan])),
+    ]
+    if depth >= 3 or rng.random() < 0.3:
+        return rng.choice(leaves)()
+    if rng.random() < 0.5:
+        return [_seeded_payload(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    return {
+        rng.choice(["a", "b", "\u00fc", "payload", "z9"]) + str(i): _seeded_payload(rng, depth + 1)
+        for i in range(rng.randint(0, 4))
+    }
+
+
+class TestSingleSerialization:
+    """``put`` serializes a payload once; ``get_text`` hands back the text
+    the integrity check verified.  Neither may move a byte."""
+
+    def test_put_bytes_equal_the_serialized_envelope(self, store):
+        rng = random.Random(0x57AB1E)
+        for case in range(40):
+            key = _key(case)
+            payload = {"body": _seeded_payload(rng), "n": case}
+            kind = rng.choice(["", "fleet_rack/1", "k\u00efnd"])
+            path = store.put(key, payload, kind=kind)
+            envelope = {
+                "schema": STORE_SCHEMA,
+                "key": key,
+                "kind": kind,
+                "payload": payload,
+                "payload_digest": payload_digest(payload),
+            }
+            expected = stable_json(envelope) + "\n"
+            assert path.read_text(encoding="utf-8") == expected, case
+            assert path.read_bytes() == expected.encode("utf-8"), case
+            assert store.get_text(key) == stable_json(payload), case
+            assert store.get(key) == json.loads(stable_json(payload)), case
+
+    def test_get_text_counts_like_get(self, store):
+        key = _key()
+        assert store.get_text(key) is None
+        store.put(key, {"value": [1, 2.5, "\u00e9"]})
+        assert store.get_text(key) == stable_json({"value": [1, 2.5, "\u00e9"]})
+        assert (store.hits, store.misses) == (1, 1)
+
+    def _rewrite(self, store, key, envelope_text):
+        store.path_for(key).write_text(envelope_text, encoding="utf-8")
+
+    @pytest.mark.parametrize("read", ["get", "get_text"])
+    def test_flipped_digest_is_quarantined(self, store, read):
+        key = _key()
+        path = store.put(key, {"value": 1.5})
+        envelope = json.loads(path.read_text())
+        digest = envelope["payload_digest"]
+        envelope["payload_digest"] = ("0" if digest[0] != "0" else "1") + digest[1:]
+        self._rewrite(store, key, stable_json(envelope) + "\n")
+        assert getattr(store, read)(key) is None
+        assert store.corrupt == 1
+        assert (store.quarantine_dir / path.name).exists()
+
+    @pytest.mark.parametrize("read", ["get", "get_text"])
+    def test_reformatted_payload_matching_its_own_digest_is_quarantined(
+        self, store, read
+    ):
+        """The digest covers the stable serialization of the payload, not
+        whatever text sits on disk: a payload re-spaced and re-digested
+        over its own raw text still fails."""
+        key = _key()
+        path = store.put(key, {"value": [1, 2.5], "name": "x"})
+        raw = json.dumps({"value": [1, 2.5], "name": "x"}, sort_keys=True, indent=1)
+        self._rewrite(
+            store,
+            key,
+            f'{{"key": "{key}", "kind": "", "payload": {raw}, '
+            f'"payload_digest": "{text_digest(raw)}", "schema": "{STORE_SCHEMA}"}}\n',
+        )
+        assert getattr(store, read)(key) is None
+        assert store.corrupt == 1
+        assert (store.quarantine_dir / path.name).exists()
+
+    def test_null_payload_is_quarantined(self, store):
+        key = _key()
+        path = store.put(key, None)
+        assert store.get_text(key) is None
+        assert store.corrupt == 1
+        assert not path.exists()
 
 
 class TestCorruptionRecovery:
