@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import List
+from functools import cached_property, lru_cache
+from typing import List, Tuple
 
 from repro.capacity.ecc import ecc_bits_for_technology
 from repro.capacity.recording import RecordingTechnology
@@ -164,13 +164,27 @@ class ZonedSurface:
     # -- zones --------------------------------------------------------------------
 
     @cached_property
-    def zones(self) -> List[Zone]:
+    def zones(self) -> Tuple[Zone, ...]:
         """The ZBR zone partition, outermost zone first.
 
         Tracks are split as evenly as possible; any remainder tracks are
         assigned to the innermost zones (one extra track each) so every track
         belongs to exactly one zone.
+
+        Computed once per distinct (diameter, BPI, TPI, zone count, stroke
+        efficiency) per process and shared by every surface with those
+        values; the tuple and its frozen zones cannot be mutated.
         """
+        return _zone_table(
+            self.platter.diameter_in,
+            self.technology.bpi,
+            self.technology.tpi,
+            self.zone_count,
+            self.stroke_efficiency,
+        )
+
+    def _partition(self) -> Tuple[Zone, ...]:
+        """The zone partition, computed afresh (see :attr:`zones`)."""
         base, remainder = divmod(self._cylinders, self.zone_count)
         zones: List[Zone] = []
         first = 0
@@ -191,7 +205,7 @@ class ZonedSurface:
                 )
             )
             first += count
-        return zones
+        return tuple(zones)
 
     def zone_of_track(self, track: int) -> Zone:
         """Zone containing the given track."""
@@ -222,3 +236,31 @@ class ZonedSurface:
             * self.platter.annulus_area_in2()
             * self.technology.areal_density
         )
+
+
+#: Distinct zone partitions one process keeps.  A Figure 2 roadmap needs
+#: 33 (11 years x 3 platter sizes); Table 1's drives and the simulated
+#: mechanisms add a few more.
+ZONE_MEMO_SIZE = 128
+
+
+# Per-process memo of a pure partition, keyed on exactly the values it is
+# computed from: every process computes bit-identical zones for a key, so
+# copies cannot diverge observably.  ``typed`` keeps ``2`` and ``2.0``
+# apart, so each caller gets exactly what an unmemoized build of its own
+# values would give.  An invalid configuration raises and is never cached.
+@lru_cache(maxsize=ZONE_MEMO_SIZE, typed=True)
+def _zone_table(
+    diameter_in: float,
+    bpi: float,
+    tpi: float,
+    zone_count: int,
+    stroke_efficiency: float,
+) -> Tuple[Zone, ...]:
+    surface = ZonedSurface(
+        platter=Platter(diameter_in=diameter_in),
+        technology=RecordingTechnology(bpi=bpi, tpi=tpi),
+        zone_count=zone_count,
+        stroke_efficiency=stroke_efficiency,
+    )
+    return surface._partition()

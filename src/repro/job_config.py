@@ -8,20 +8,23 @@ CLI derives its flags from the same walk; both then run
 ``config.build_tasks()`` on ``config.sweep_kind()``, so a CLI run and a
 service job of one config compute the same task keys and result bytes.
 
-This module loads only :mod:`repro.constants`: the sweep layers are
-imported when tasks are built, so building the CLI parser or starting
-``repro serve`` loads neither the simulator nor the thermal model.
+This module loads only :mod:`repro.constants` and :mod:`repro.errors`:
+the sweep layers are imported when tasks are built, so building the CLI
+parser or starting ``repro serve`` loads neither the simulator nor the
+thermal model.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import typing
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.constants import AMBIENT_TEMPERATURE_C, THERMAL_ENVELOPE_C
+from repro.errors import ReproError
 
 __all__ = [
     "SERVICE_JOB_KIND", "SERVICE_FLEET_JOB_KIND", "ConfigField", "config_fields",
@@ -86,6 +89,19 @@ class _JobConfig:
     fault_seed: int
     media_rate: float
     servo_rate: float
+
+    def __post_init__(self) -> None:
+        # NaN slips past every range check (each comparison is false) and
+        # an infinity past most, so every float is refused here once, for
+        # the CLI, the service and in-process callers alike.
+        for f in config_fields(type(self)):
+            if f.scalar is not float:
+                continue
+            value = getattr(self, f.name)
+            if value is not None and not all(
+                map(math.isfinite, value if f.is_tuple else (value,))
+            ):
+                raise ReproError(f"{f.name!r} must be finite, got {value!r}")
 
     def immaterial_fields(self) -> Tuple[str, ...]:
         """Fields whose feature is off in this config: they shape nothing."""

@@ -263,17 +263,21 @@ def thermal_roadmap(
     for year in years:
         target = trends.target_idr_mb_s(year)
         for diameter in sizes:
-            surface = _surface(diameter, trends, year, zone_count)
             rpm = max_rpm(diameter)
-            idr = (
-                idr_mb_per_s(rpm, surface.sectors_per_track_zone0) if rpm > 0 else 0.0
-            )
-            capacity = CapacityModel(
+            # One surface per point: the IDR reads n_tz0 off the capacity
+            # model's own surface.
+            model = CapacityModel(
                 platter=Platter(diameter_in=diameter),
                 technology=trends.technology(year),
                 platter_count=platter_count,
                 zone_count=zone_count,
-            ).usable_capacity_gib()
+            )
+            idr = (
+                idr_mb_per_s(rpm, model.surface.sectors_per_track_zone0)
+                if rpm > 0
+                else 0.0
+            )
+            capacity = model.usable_capacity_gib()
             points.append(
                 RoadmapPoint(
                     year=year,

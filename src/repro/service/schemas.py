@@ -27,7 +27,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Dict, Mapping, Tuple
 
-from repro.errors import ServiceError
+from repro.errors import ReproError, ServiceError
 from repro.job_config import (
     SERVICE_FLEET_JOB_KIND,
     SERVICE_JOB_KIND,
@@ -141,7 +141,10 @@ def _parse_config(cls: type, payload: Mapping[str, Any]) -> Any:
         elif f.scalar is float:
             value = _as_float(f.name, value)
         values[f.name] = value
-    config = cls(**values)
+    try:
+        config = cls(**values)
+    except ReproError as exc:  # a non-finite number from an in-process body
+        raise ServiceError(str(exc)) from None
     for name in cls.positive_fields:  # type: ignore[attr-defined]
         if getattr(config, name) <= 0:
             raise ServiceError(f"{name!r} must be positive")

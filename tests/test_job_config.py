@@ -12,7 +12,8 @@ hand-seeded configs per family that set every field:
   the same config's wire body.
 
 Plus: running ``repro fleet`` or ``repro sweep workload`` never imports
-the service package.
+the service package, and every non-finite float field is refused by the
+config record itself, so the CLI and in-process submits share one rule.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from typing import Any, Dict, List
 
 import pytest
 
-from repro.cli import _CONFIG_FLAGS, _config_from_args, build_parser
+from repro.cli import _CONFIG_FLAGS, _config_from_args, build_parser, main
+from repro.errors import ReproError, ServiceError
 from repro.job_config import FleetJobConfig, SweepJobConfig, config_fields
 from repro.service import job_config_key, parse_job_request
 
@@ -185,3 +187,55 @@ def test_job_commands_never_import_the_service(argv, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().endswith("ok")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fleet", "--racks", "1", "--enclosures", "1", "--drives", "2",
+          "--inlet", "nan"], "'inlet_c' must be finite, got nan"),
+        (["fleet", "--racks", "1", "--enclosures", "1", "--drives", "2",
+          "--envelope", "nan"], "'envelope_c' must be finite, got nan"),
+        (["sweep", "workload", "oltp", "-n", "50", "--steps", "1",
+          "--rpms", "nan"], "'rpms' must be finite, got (nan,)"),
+        (["fleet", "--racks", "1", "--rpm-levels", "9600,-inf"],
+         "'rpm_levels' must be finite, got (9600.0, -inf)"),
+    ],
+)
+def test_cli_refuses_non_finite_numbers_before_any_output(argv, message, tmp_path, capsys):
+    out = tmp_path / "results.json"
+    assert main(argv + ["--backend", "serial", "--results-out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_every_float_field_and_tuple_element_must_be_finite():
+    for cls in (SweepJobConfig, FleetJobConfig):
+        base = {"workloads": ("tpcc",)} if cls is SweepJobConfig else {}
+        for field in config_fields(cls):
+            if field.scalar is not float:
+                continue
+            for bad in (float("nan"), float("inf"), float("-inf")):
+                value = (1.0, bad) if field.is_tuple else bad
+                with pytest.raises(ReproError, match=f"'{field.name}' must be finite"):
+                    cls(**base, **{field.name: value})
+    # Finite extremes and an unset optional tuple are fine.
+    SweepJobConfig(workloads=("tpcc",), rpms=None, media_rate=1e308)
+    FleetJobConfig(inlet_c=-1e308, rpm_levels=(5e-324,))
+
+
+def test_in_process_submit_refuses_non_finite_numbers(tmp_path):
+    from repro.service import JobManager
+    from repro.store import ResultStore
+
+    manager = JobManager(ResultStore(root=tmp_path / "store"), retries=0)
+    for payload in (
+        {"kind": "fleet_sweep", "racks": 1, "inlet_c": float("nan")},
+        {"workloads": ["oltp"], "requests": 50, "rpms": [10000.0, float("inf")]},
+    ):
+        with pytest.raises(ServiceError, match="must be finite") as caught:
+            manager.submit(payload)
+        assert caught.value.status == 400
+    assert manager.jobs() == []
