@@ -795,9 +795,9 @@ _CONFIG_FLAGS: Dict[str, Tuple[Tuple[str, ...], Optional[str]]] = {
     "keep_samples": (("--keep-samples",), "carry every response-time sample into the results"),
     "engine": (
         ("--engine",),
-        "simulation engine: the event-driven simulator (exact), the byte-identical "
-        "vectorized replay, the closed-form queueing estimator (analytic), or the "
-        "fastest qualifying one (auto); see docs/fastpath.md",
+        "simulation engine: the event-driven simulator (exact), the closed-form "
+        "queueing estimator (analytic), or analytic where it qualifies and exact "
+        "otherwise (auto); see docs/fastpath.md",
     ),
     # repro fleet
     "racks": (("--racks",), "rack count"),
@@ -856,7 +856,7 @@ _CLI_DEFAULTS: Dict[str, Any] = {"requests": 4000, "retries": 2}
 #: Choices of the closed-set string fields (``engine``:
 #: :data:`repro.simulation.fastpath.ENGINES`).
 _CONFIG_CHOICES: Dict[str, Tuple[str, ...]] = {
-    "engine": ("exact", "vectorized", "analytic", "auto"),
+    "engine": ("exact", "analytic", "auto"),
     "backend": _BACKEND_CHOICES,
 }
 

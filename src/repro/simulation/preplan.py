@@ -4,7 +4,7 @@ The Figure 4 ladder replays one trace at several spindle speeds.  Only
 rotational timing, the queues and the caches depend on RPM; the trace,
 the array's capacity and each request's striping across the member
 disks do not.  This module computes those once per process and hands
-them to every engine (exact, vectorized, analytic):
+them to both engines (exact and analytic):
 
 * :func:`spec_geometry` — the RPM-independent geometry of a workload's
   array: the layout and seek curve every member disk maps through (the
@@ -50,7 +50,7 @@ class SpecGeometry:
         layout: the LBA mapping every member disk shares.
         seek_model: the seek curve every member disk shares.
         array: the striping geometry (RAID-0 or RAID-5).
-        seek_table: the fast engines' seek time per cylinder distance,
+        seek_table: the analytic engine's seek time per cylinder distance,
             filled on first use (it needs numpy).
     """
 

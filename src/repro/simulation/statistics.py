@@ -28,7 +28,7 @@ def percentile_from_sorted(data: Sequence[float], q: float) -> float:
     """q-th percentile of an ascending-sorted sample, linear interpolation.
 
     This is the *one* percentile formula in the codebase: the incremental
-    :class:`ResponseTimeStats` path and the vectorized batch path both
+    :class:`ResponseTimeStats` path and the numpy batch path both
     evaluate exactly these IEEE-754 operations, so the two agree bit for
     bit on the same samples (the fast-path differential suite asserts it).
 

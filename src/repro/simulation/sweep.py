@@ -187,7 +187,8 @@ class WorkloadTask:
     ``fault_summary``.
     ``engine`` selects the simulation engine (see
     :mod:`repro.simulation.fastpath`): ``exact`` (the event-driven
-    simulator), ``vectorized``, ``analytic``, or ``auto``.
+    simulator), ``analytic`` (the closed-form estimator), or ``auto``
+    (analytic where it qualifies, else exact).
     """
 
     workload: str
@@ -419,9 +420,9 @@ def plan_sweep_workers(
     milliseconds of closed-form math — forking a process pool would cost
     more than the whole sweep, so such sweeps are forced serial
     (``workers=0``, the in-process path, which spawns nothing).  Any task
-    planning a simulation engine (exact or vectorized) leaves ``workers``
-    untouched.  Engine refusals are not raised here; the per-task worker
-    raises them so resilient sweeps get per-task outcomes.
+    planning the event-driven exact engine leaves ``workers`` untouched.
+    Engine refusals are not raised here; the per-task worker raises them
+    so resilient sweeps get per-task outcomes.
     """
     from repro.simulation.fastpath import all_analytic
 

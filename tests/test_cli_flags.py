@@ -15,11 +15,11 @@ from typing import Any, List, Tuple
 
 import pytest
 
-from repro.cli import build_parser
+from repro.cli import _CONFIG_CHOICES, build_parser
+from repro.simulation.fastpath import ENGINES
 
 STORE, FLAG, HELP = "_StoreAction", "_StoreTrueAction", "_HelpAction"
 BACKENDS = ("serial", "process", "shared-store")
-ENGINES = ("exact", "vectorized", "analytic", "auto")
 LADDER = "[9600.0, 12000.0, 15000.0]"
 HELP_ROW = (("-h", "--help"), "help", None, None, "'==SUPPRESS=='", HELP, False)
 
@@ -139,3 +139,9 @@ def _records(command: str) -> List[Tuple[Any, ...]]:
 @pytest.mark.parametrize("command", sorted(PINS))
 def test_every_option_is_pinned(command):
     assert _records(command) == sorted(PINS[command])
+
+
+def test_engine_choices_are_the_simulation_engines():
+    """The CLI keeps its own literal (building the parser loads no
+    simulator); it must name exactly the engines the simulator runs."""
+    assert _CONFIG_CHOICES["engine"] == ENGINES

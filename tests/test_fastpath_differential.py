@@ -1,17 +1,18 @@
 """Fast-engine differential gates.
 
-The vectorized engine claims *byte identity* with the exact event-driven
-simulator; the analytic engine claims a documented tolerance.  This
-suite holds both to their claims across the whole workload catalog and
-several spindle speeds, and pins the selection rules: fault injection
-forces the exact engine, RAID-5 and high-sequentiality workloads refuse
-the analytic engine, and a pure-analytic sweep never spawns a process
-pool.
+``auto`` means analytic where the analytic engine accepts the task and
+the exact event-driven simulator otherwise, so wherever it lands on
+exact it must produce exact's bytes; the analytic engine claims a
+documented tolerance.  This suite holds both to their claims across the
+whole workload catalog and several spindle speeds, and pins the
+selection rules: fault injection forces the exact engine, RAID-5 and
+high-sequentiality workloads refuse the analytic engine, a runtime
+refusal sends ``auto`` to exact, and a pure-analytic sweep never spawns
+a process pool.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import subprocess
 import sys
 import time
@@ -19,12 +20,15 @@ from pathlib import Path
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.faults import FaultConfig
+from repro.simulation import fastpath
 from repro.simulation.fastpath import (
     ANALYTIC_HIT_RATIO_ATOL,
     ANALYTIC_MEAN_RTOL,
     ANALYTIC_P95_RTOL,
     ANALYTIC_UTILIZATION_ATOL,
+    ENGINES,
     EngineRefused,
     decide_engine,
     planned_engines,
@@ -34,6 +38,7 @@ from repro.simulation.sweep import (
     WorkloadTask,
     _run_workload_task,
     build_workload_tasks,
+    plan_sweep_workers,
     results_json_bytes,
     sweep_workloads,
     workload_task_key,
@@ -51,6 +56,8 @@ SEED = 7
 
 #: Workloads the analytic engine accepts (non-RAID-5, low sequentiality).
 ANALYTIC_OK = ["oltp", "search_engine"]
+#: Workloads it refuses: RAID-5 (tpcc, openmail) and too sequential (tpch).
+ANALYTIC_REFUSED = ["openmail", "tpcc", "tpch"]
 
 
 def _task(workload: str, rpm: float, **kwargs) -> WorkloadTask:
@@ -59,42 +66,48 @@ def _task(workload: str, rpm: float, **kwargs) -> WorkloadTask:
     return WorkloadTask(**base)
 
 
-def _normalized_bytes(result) -> bytes:
-    """Canonical JSON with the engine label folded out.
-
-    Byte identity is claimed for the *statistics*; the engine field is
-    provenance and necessarily differs between the two runs.
-    """
-    return results_json_bytes([dataclasses.replace(result, engine="exact")])
-
-
 # ---------------------------------------------------------------------------
-# Vectorized engine: byte identity
+# auto: analytic where accepted, else exact's bytes
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("workload", ALL_WORKLOADS)
 @pytest.mark.parametrize("rpm", RPMS)
-def test_vectorized_byte_identical_to_exact(workload, rpm):
+def test_auto_is_analytic_or_byte_identical_to_exact(workload, rpm):
+    auto = _run_workload_task(_task(workload, rpm, engine="auto"))
+    if workload in ANALYTIC_OK:
+        assert auto.engine == "analytic"
+        analytic = _run_workload_task(_task(workload, rpm, engine="analytic"))
+        assert results_json_bytes([auto]) == results_json_bytes([analytic])
+        return
     exact = _run_workload_task(_task(workload, rpm))
-    fast = _run_workload_task(_task(workload, rpm, engine="vectorized"))
-    assert _normalized_bytes(fast) == _normalized_bytes(exact)
-    # RAID-5 workloads silently fall back; everything else must actually
-    # have taken the vectorized path for this test to mean anything.
-    from repro.workloads import workload as lookup
-
-    expected = "exact" if lookup(workload).raid5 else "vectorized"
-    assert fast.engine == expected
+    # Engine label included: auto's fallback is the exact engine itself.
+    assert auto.engine == "exact"
+    assert results_json_bytes([auto]) == results_json_bytes([exact])
 
 
-def test_vectorized_keeps_samples_byte_identical():
+def test_auto_keep_samples_lands_on_exact():
     exact = _run_workload_task(_task("oltp", 15000.0, keep_samples=True))
-    fast = _run_workload_task(
-        _task("oltp", 15000.0, keep_samples=True, engine="vectorized")
+    auto = _run_workload_task(
+        _task("oltp", 15000.0, keep_samples=True, engine="auto")
     )
-    assert fast.engine == "vectorized"
-    assert fast.samples_ms == exact.samples_ms
-    assert _normalized_bytes(fast) == _normalized_bytes(exact)
+    assert auto.engine == "exact"
+    assert len(auto.samples_ms) == REQUESTS
+    assert auto.samples_ms == exact.samples_ms
+    assert results_json_bytes([auto]) == results_json_bytes([exact])
+
+
+def test_runtime_refusal_sends_auto_to_exact(monkeypatch):
+    """A task the static plan accepts but whose measured utilization
+    reaches the runtime limit: ``auto`` runs exact, ``analytic`` raises."""
+    monkeypatch.setattr(fastpath, "ANALYTIC_MAX_RHO_RUNTIME", 1e-6)
+    assert decide_engine(_task("oltp", 15000.0, engine="auto")) == "analytic"
+    exact = _run_workload_task(_task("oltp", 15000.0))
+    auto = _run_workload_task(_task("oltp", 15000.0, engine="auto"))
+    assert auto.engine == "exact"
+    assert results_json_bytes([auto]) == results_json_bytes([exact])
+    with pytest.raises(EngineRefused, match="utilization"):
+        _run_workload_task(_task("oltp", 15000.0, engine="analytic"))
 
 
 # ---------------------------------------------------------------------------
@@ -152,32 +165,6 @@ def test_analytic_ladder_at_least_ten_times_faster_than_exact():
     assert speedup >= 10.0, f"analytic ladder only {speedup:.1f}x faster"
 
 
-def test_vectorized_ladder_faster_than_exact():
-    """The vectorized engine's reason to exist: a 4-rung oltp ladder
-    replays >= 1.5x faster than on the exact engine, the margin below
-    which its duplicate event loop should be deleted.  Process CPU time,
-    serial on both sides; one warm-up ladder per engine, then interleaved
-    repetitions on fresh seeds (so no side reuses a cached trace), each
-    side taking its minimum."""
-
-    def ladder_cpu_s(engine, seed):
-        start = time.process_time()
-        results = sweep_workloads(["oltp"], rpm_steps=4, requests=4000,
-                                  seed=seed, workers=0, engine=engine)
-        elapsed = time.process_time() - start
-        assert {r.engine for r in results} == {engine}
-        return elapsed
-
-    for engine in ("exact", "vectorized"):
-        ladder_cpu_s(engine, seed=1)
-    exact_s, vectorized_s = [], []
-    for seed in (2, 3, 4):
-        exact_s.append(ladder_cpu_s("exact", seed))
-        vectorized_s.append(ladder_cpu_s("vectorized", seed))
-    speedup = min(exact_s) / min(vectorized_s)
-    assert speedup >= 1.5, f"vectorized ladder only {speedup:.2f}x faster"
-
-
 @pytest.mark.parametrize(
     "workload, fragment",
     [
@@ -204,34 +191,40 @@ def test_analytic_refuses_keep_samples():
 def test_fault_injection_forces_exact_engine():
     faults = FaultConfig(seed=3, media_rate=0.05)
     exact = _run_workload_task(_task("oltp", 15000.0, fault_config=faults))
-    for engine in ("vectorized", "auto"):
-        fast = _run_workload_task(
-            _task("oltp", 15000.0, fault_config=faults, engine=engine)
-        )
-        assert fast.engine == "exact"
-        assert results_json_bytes([fast]) == results_json_bytes([exact])
+    auto = _run_workload_task(
+        _task("oltp", 15000.0, fault_config=faults, engine="auto")
+    )
+    assert auto.engine == "exact"
+    assert results_json_bytes([auto]) == results_json_bytes([exact])
     with pytest.raises(EngineRefused, match="fault injection"):
         _run_workload_task(
             _task("oltp", 15000.0, fault_config=faults, engine="analytic")
         )
 
 
-def test_auto_prefers_analytic_then_vectorized_then_exact():
+def test_auto_prefers_analytic_then_exact():
     assert decide_engine(_task("oltp", 15000.0, engine="auto")) == "analytic"
-    # tpch is too sequential for analytic but fine for vectorized
-    assert decide_engine(_task("tpch", 15000.0, engine="auto")) == "vectorized"
-    # RAID-5 disqualifies both fast engines
+    # too sequential for analytic
+    assert decide_engine(_task("tpch", 15000.0, engine="auto")) == "exact"
+    # RAID-5 phased plans
     assert decide_engine(_task("tpcc", 15000.0, engine="auto")) == "exact"
-    # keep_samples disqualifies analytic only
+    # keep_samples: the analytic engine has no per-request samples
     assert (
         decide_engine(_task("oltp", 15000.0, keep_samples=True, engine="auto"))
-        == "vectorized"
+        == "exact"
     )
 
 
 def test_run_fast_task_returns_none_for_exact_plans():
-    assert run_fast_task(_task("tpcc", 15000.0, engine="auto")) is None
-    assert run_fast_task(_task("tpcc", 15000.0, engine="vectorized")) is None
+    for workload in ANALYTIC_REFUSED:
+        assert run_fast_task(_task(workload, 15000.0, engine="auto")) is None
+    assert run_fast_task(_task("oltp", 15000.0)) is None
+    assert run_fast_task(_task("oltp", 15000.0, engine="auto")).engine == "analytic"
+
+
+def test_build_workload_tasks_refuses_unknown_engine():
+    with pytest.raises(SimulationError, match="unknown engine 'vectorized'"):
+        build_workload_tasks(["oltp"], engine="vectorized")
 
 
 def test_pure_analytic_sweep_spawns_no_pool(monkeypatch):
@@ -259,9 +252,7 @@ def test_mixed_engine_sweep_still_allowed_to_pool():
         names=["oltp", "tpch"], rpms=RPMS, requests=REQUESTS, engine="auto"
     )
     planned = planned_engines(tasks)
-    assert planned is not None and "vectorized" in planned
-    from repro.simulation.sweep import plan_sweep_workers
-
+    assert planned is not None and set(planned) == {"analytic", "exact"}
     assert plan_sweep_workers(tasks, 4) == 4
     analytic_only = build_workload_tasks(
         names=["oltp"], rpms=RPMS, requests=REQUESTS, engine="analytic"
@@ -277,9 +268,11 @@ def test_mixed_engine_sweep_still_allowed_to_pool():
 def test_engine_is_part_of_the_task_key():
     keys = {
         workload_task_key(_task("oltp", 15000.0, engine=engine))
-        for engine in ("exact", "vectorized", "analytic", "auto")
+        for engine in ENGINES
     }
-    assert len(keys) == 4, "each engine must address distinct store entries"
+    assert len(keys) == len(ENGINES) == 3, (
+        "each engine must address distinct store entries"
+    )
 
 
 def test_result_payload_roundtrips_engine():

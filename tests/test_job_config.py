@@ -30,12 +30,12 @@ from repro.cli import _CONFIG_FLAGS, _config_from_args, build_parser, main
 from repro.errors import ReproError, ServiceError
 from repro.job_config import FleetJobConfig, SweepJobConfig, config_fields
 from repro.service import job_config_key, parse_job_request
+from repro.simulation.fastpath import ENGINES
 
 SEED = 20261018
 CASES = 200
 
 WORKLOADS = ("openmail", "oltp", "search_engine", "tpcc", "tpch")
-ENGINES = ("exact", "vectorized", "analytic", "auto")
 BACKENDS = ("serial", "process", "shared-store")
 
 
@@ -208,6 +208,16 @@ def test_cli_refuses_non_finite_numbers_before_any_output(argv, message, tmp_pat
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+    assert not out.exists()
+
+
+def test_cli_refuses_an_unknown_engine_before_any_output(tmp_path, capsys):
+    out = tmp_path / "results.json"
+    with pytest.raises(SystemExit) as caught:
+        main(["sweep", "workload", "oltp", "--engine", "vectorized",
+              "--results-out", str(out)])
+    assert caught.value.code == 2
+    assert "invalid choice: 'vectorized'" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -337,6 +337,14 @@ class TestJobManager:
         assert manager.jobs() == []
         manager.drain(timeout_s=10.0)
 
+    def test_unknown_engine_rejected_before_queueing(self, tmp_path):
+        manager = _manager(tmp_path)
+        with pytest.raises(ServiceError, match="unknown engine") as exc:
+            manager.submit({"workloads": ["oltp"], "engine": "vectorized"})
+        assert exc.value.status == 400
+        assert manager.jobs() == []
+        manager.drain(timeout_s=10.0)
+
     def test_metrics_text_round_trips_with_labels(self, tmp_path):
         from repro.reporting import parse_prometheus_text
         from repro.reporting.telemetry_export import parse_label_set
@@ -489,6 +497,17 @@ class TestHTTP:
 
             status, _ = service.request("POST", "/v1/jobs", None)
             assert status == 400  # empty body is not valid JSON
+
+    def test_unknown_engine_is_a_400_at_the_wire(self, tmp_path):
+        with _Service(tmp_path) as service:
+            status, body = service.json(
+                "POST", "/v1/jobs", {"workloads": ["oltp"], "engine": "vectorized"}
+            )
+            assert status == 400
+            assert "unknown engine" in body["error"]
+            assert service.app.manager.jobs() == []
+            status, listing = service.json("GET", "/v1/jobs")
+            assert (status, listing["jobs"]) == (200, [])
 
 
     @pytest.mark.parametrize(

@@ -398,7 +398,7 @@ class TestLiteralPayloadPins:
         assert payload["fault_summary"] is not None
         assert payload_digest(payload) == "a88efc80616dc56c42d58a8f25d4a1c4"
 
-    def test_vectorized_samples_workload_payload(self):
+    def test_exact_samples_workload_payload(self):
         from repro.simulation.sweep import (
             WorkloadTask,
             _run_workload_task,
@@ -412,12 +412,11 @@ class TestLiteralPayloadPins:
             requests=200,
             seed=2,
             keep_samples=True,
-            engine="vectorized",
         )
         payload = workload_result_to_payload(_run_workload_task(task))
-        assert payload["engine"] == "vectorized"
+        assert payload["engine"] == "exact"
         assert len(payload["samples_ms"]) == 200
-        assert payload_digest(payload) == "9bb7f9326f2b1074e6f67d125d7d3139"
+        assert payload_digest(payload) == "013b528719fc9c65d487d00244b1b577"
 
     def test_tiered_faulted_rack_payload(self):
         from repro.faults import FaultConfig
