@@ -222,8 +222,14 @@ class ZonedSurface:
 
     @cached_property
     def sectors_per_surface(self) -> int:
-        """Total usable sectors on one surface."""
-        return sum(zone.sectors for zone in self.zones)
+        """Total usable sectors on one surface (memoized like :attr:`zones`)."""
+        return _surface_sectors(
+            self.platter.diameter_in,
+            self.technology.bpi,
+            self.technology.tpi,
+            self.zone_count,
+            self.stroke_efficiency,
+        )
 
     def raw_bits_per_surface(self) -> float:
         """Raw (pre-ZBR, pre-overhead) bits on the recordable annulus.
@@ -264,3 +270,16 @@ def _zone_table(
         stroke_efficiency=stroke_efficiency,
     )
     return surface._partition()
+
+
+# The integer sum over one memoized table, keyed like ``_zone_table``.
+@lru_cache(maxsize=ZONE_MEMO_SIZE, typed=True)
+def _surface_sectors(
+    diameter_in: float,
+    bpi: float,
+    tpi: float,
+    zone_count: int,
+    stroke_efficiency: float,
+) -> int:
+    table = _zone_table(diameter_in, bpi, tpi, zone_count, stroke_efficiency)
+    return sum(zone.sectors for zone in table)

@@ -66,18 +66,24 @@ def max_rpm_within_envelope(
     Raises:
         EnvelopeError: if even ``rpm_low`` exceeds the envelope (the design
             cannot be built for this envelope at all).
+
+    One model serves the whole search: each probe rewrites only its
+    speed-dependent state, so it equals ``steady_air_temperature_c`` at
+    the probed RPM bit for bit.
     """
+    model = DriveThermalModel(
+        platter_diameter_in=platter_diameter_in,
+        platter_count=platter_count,
+        rpm=rpm_low,
+        ambient_c=ambient_c,
+        vcm_active=vcm_active,
+        enclosure=enclosure,
+        calibration=calibration,
+    )
 
     def air_at(rpm: float) -> float:
-        return steady_air_temperature_c(
-            platter_diameter_in,
-            rpm,
-            platter_count=platter_count,
-            ambient_c=ambient_c,
-            vcm_active=vcm_active,
-            enclosure=enclosure,
-            calibration=calibration,
-        )
+        model.set_operating_state(rpm=rpm)
+        return model.steady_air_c()
 
     if air_at(rpm_low) > envelope_c:
         raise EnvelopeError(

@@ -132,6 +132,14 @@ class DriveThermalModel:
         self.rpm = float(rpm)
         self.vcm_active = bool(vcm_active)
         self.spinning = bool(spinning)
+        # Speed-independent factors of the three air conductances, so a
+        # speed change (an envelope-search probe) recomputes only the
+        # speed-dependent coefficients.
+        self._stack_area_m2 = self.stack.convective_area_m2()
+        self._enclosure_area_m2 = self.enclosure.external_area_m2()
+        self._platter_radius_m = self.platter.outer_radius_m
+        self._arm_radius_m = max(self.actuator.arm_length_m, 1e-3)
+        self._actuator_area_m2 = self.actuator.convective_area_m2()
 
         self.network = self._build_network(ambient_c)
         self._apply_operating_state()
@@ -175,15 +183,13 @@ class DriveThermalModel:
         rpm = self.rpm if self.spinning else 0.0
 
         stack_h = cal.stack_convection_scale * rotating_disk_h(
-            rpm, self.platter.outer_radius_m
+            rpm, self._platter_radius_m
         )
-        g_stack_air = stack_h * self.stack.convective_area_m2()
+        g_stack_air = stack_h * self._stack_area_m2
         wall_h = cal.internal_wall_scale * enclosed_air_internal_h(rpm)
-        g_air_base = wall_h * self.enclosure.external_area_m2()
-        arm_h = cal.stack_convection_scale * rotating_disk_h(
-            rpm, max(self.actuator.arm_length_m, 1e-3)
-        )
-        g_vcm_air = arm_h * self.actuator.convective_area_m2()
+        g_air_base = wall_h * self._enclosure_area_m2
+        arm_h = cal.stack_convection_scale * rotating_disk_h(rpm, self._arm_radius_m)
+        g_vcm_air = arm_h * self._actuator_area_m2
 
         self.network.set_conductance(NODE_AIR, NODE_STACK, max(g_stack_air, 1e-3))
         self.network.set_conductance(NODE_AIR, NODE_BASE, max(g_air_base, 1e-3))
@@ -254,7 +260,7 @@ class DriveThermalModel:
 
     def steady_air_c(self) -> float:
         """Steady-state internal-air temperature, Celsius."""
-        return self.steady_state()[NODE_AIR]
+        return self.network.steady_temperature(NODE_AIR)
 
     def settle(self) -> None:
         """Jump the transient state to steady state."""

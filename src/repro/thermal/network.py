@@ -168,8 +168,7 @@ class ThermalNetwork:
         diag = self._g_internal.sum(axis=1) + self._g_ambient
         return np.diag(diag) - self._g_internal
 
-    def steady_state(self) -> Dict[str, float]:
-        """Steady-state temperatures for the current heats/conductances."""
+    def _steady_solution(self) -> np.ndarray:
         a = self._system_matrix()
         rhs = self._heat + self._g_ambient * self.ambient_c
         if np.all(self._g_ambient == 0):
@@ -177,10 +176,19 @@ class ThermalNetwork:
                 "network has no path to ambient; steady state would be unbounded"
             )
         try:
-            solution = np.linalg.solve(a, rhs)
+            return np.linalg.solve(a, rhs)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
             raise ThermalError(f"singular thermal network: {exc}") from exc
+
+    def steady_state(self) -> Dict[str, float]:
+        """Steady-state temperatures for the current heats/conductances."""
+        solution = self._steady_solution()
         return {node.name: float(solution[i]) for i, node in enumerate(self.nodes)}
+
+    def steady_temperature(self, node: str) -> float:
+        """Steady-state temperature of one node: ``steady_state()[node]``."""
+        index = self.node_index(node)
+        return float(self._steady_solution()[index])
 
     def step(self, dt_s: float) -> None:
         """Advance the transient state by one backward-Euler step."""
