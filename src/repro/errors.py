@@ -36,6 +36,10 @@ class SimulationError(ReproError):
     """The storage simulator detected an inconsistent event or request."""
 
 
+class EngineRefused(SimulationError):
+    """An explicitly requested fast engine cannot honor this task."""
+
+
 class TraceError(ReproError):
     """A workload trace is malformed or violates ordering invariants."""
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from repro.errors import SimulationError
+from repro.errors import EngineRefused, SimulationError
 from repro.units import (
     BYTES_PER_SECTOR,
     interface_mb_per_s_to_bytes_per_s,
@@ -69,10 +69,6 @@ ANALYTIC_MAX_RHO_RUNTIME = 0.95
 
 #: Bus rate of the simulated member disks (SimulatedDisk default).
 _BUS_MB_PER_S = 160.0
-
-
-class EngineRefused(SimulationError):
-    """An explicitly requested fast engine cannot honor this task."""
 
 
 def have_numpy() -> bool:
