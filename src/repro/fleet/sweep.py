@@ -65,6 +65,7 @@ __all__ = [
     "fleet_results_document",
     "fleet_results_json_bytes",
     "fleet_sweep_kind",
+    "rack_task_cost",
     "run_fleet_sweep",
 ]
 
@@ -395,12 +396,24 @@ def build_rack_tasks(
     ]
 
 
+#: Serial seconds per drive of a rack task: 14 racks of 72 drives took
+#: 17.6-18.0 ms through ``run_kind(..., backend="serial")``, warm
+#: (17.6-17.9 us a drive; racks of 240 drives ran 16.5-18.0 us a drive),
+#: medians of 7 runs in two quiet sessions of ``tools/measure_dispatch.py``
+#: on a 2-core x86-64 host.
+FLEET_SECONDS_PER_DRIVE = 18e-6
+
+
+def rack_task_cost(task: RackTask) -> float:
+    """Estimated serial seconds of one rack task."""
+    return task.rack.drive_count * FLEET_SECONDS_PER_DRIVE
+
+
 def fleet_sweep_kind() -> "SweepKind":
     """The fleet family's :class:`SweepKind`.
 
     Built per run, from this module's attributes at call time, so a
-    rebound worker or codec (tracing, tests) is what the run uses.  Rack
-    tasks always simulate, so there is no worker plan.
+    rebound worker or codec (tracing, tests) is what the run uses.
     """
     from repro.simulation.resilience import SweepKind
 
@@ -411,6 +424,7 @@ def fleet_sweep_kind() -> "SweepKind":
         encode=rack_result_to_payload,
         decode=rack_result_from_payload,
         document=fleet_results_document,
+        cost=rack_task_cost,
     )
 
 

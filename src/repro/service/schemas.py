@@ -143,11 +143,8 @@ def _parse_config(cls: type, payload: Mapping[str, Any]) -> Any:
         values[f.name] = value
     try:
         config = cls(**values)
-    except ReproError as exc:  # a non-finite number from an in-process body
+    except ReproError as exc:  # a non-finite number or a count below one
         raise ServiceError(str(exc)) from None
-    for name in cls.positive_fields:  # type: ignore[attr-defined]
-        if getattr(config, name) <= 0:
-            raise ServiceError(f"{name!r} must be positive")
     if config.retries < 0:
         raise ServiceError("'retries' must be >= 0")
     if config.workers is not None and config.workers < 0:

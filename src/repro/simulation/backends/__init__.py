@@ -109,7 +109,9 @@ def resolve_backend(
       resolution (``resolve_workers``) lands on <= 1 worker, where the
       serial backend is returned instead: that is what actually runs,
       and the manifest must record the truth (``workers=0`` has always
-      meant in-process execution).
+      meant in-process execution).  :func:`repro.simulation.resilience.run_kind`
+      asks for ``serial`` instead when the misses cost less than a pool
+      (:func:`repro.simulation.resilience.plan_dispatch`).
     * ``shared-store`` — :class:`SharedStoreBackend`; requires a result
       store plus per-task content keys, which
       :func:`repro.simulation.resilience.run_kind` always supplies, and

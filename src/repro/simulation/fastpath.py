@@ -33,7 +33,7 @@ environment (CI checks this).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.errors import EngineRefused, SimulationError
 from repro.units import (
@@ -189,34 +189,6 @@ def decide_engine(task: "WorkloadTask") -> str:
     if engine == "analytic":
         raise EngineRefused(f"analytic engine refused for {task.label()}: {reason}")
     return "exact"
-
-
-def planned_engines(tasks: Sequence["WorkloadTask"]) -> Optional[List[str]]:
-    """Planned engine per task, or None when planning itself refuses.
-
-    Used by the sweep front-ends to decide whether a process pool is
-    worth spawning; a refusal is deliberately *not* raised here — the
-    per-task worker raises it so resilient sweeps get per-task outcomes.
-    """
-    try:
-        return [decide_engine(task) for task in tasks]
-    except EngineRefused:
-        return None
-
-
-def all_analytic(tasks: Sequence["WorkloadTask"]) -> bool:
-    """True when *every* task plans onto the closed-form analytic engine.
-
-    Such a sweep finishes in milliseconds of arithmetic; the sweep
-    planner (:func:`repro.simulation.sweep.plan_sweep_workers`) forces it
-    serial so no execution backend spawns processes for it.  Tasks that
-    request ``exact`` (the common case) short-circuit to False without
-    planning anything.
-    """
-    if not tasks or any(task.engine == "exact" for task in tasks):
-        return False
-    planned = planned_engines(tasks)
-    return planned is not None and all(p == "analytic" for p in planned)
 
 
 def run_fast_task(task: "WorkloadTask") -> Optional["WorkloadSweepResult"]:
@@ -384,7 +356,6 @@ __all__ = [
     "analytic_refusal",
     "decide_engine",
     "have_numpy",
-    "planned_engines",
     "run_fast_task",
     "run_workload_task_analytic",
     "validate_engine",

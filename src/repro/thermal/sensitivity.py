@@ -146,15 +146,18 @@ def exponent_sensitivity(
     from repro.thermal.model import DriveThermalModel
     from repro.thermal.viscous import viscous_power_w
 
+    diameter = 2.6
     results = []
     for rpm_exp in rpm_exponents:
         for dia_exp in diameter_exponents:
-            def air_at(rpm: float, diameter: float = 2.6) -> float:
-                model = DriveThermalModel(
-                    platter_diameter_in=diameter,
-                    rpm=rpm,
-                    enclosure=FORM_FACTOR_35,
-                )
+            # One model per search: each probe rewrites the speed-dependent
+            # state, then the perturbed windage heat.
+            model = DriveThermalModel(
+                platter_diameter_in=diameter, rpm=5000.0, enclosure=FORM_FACTOR_35
+            )
+
+            def air_at(rpm: float) -> float:
+                model.set_operating_state(rpm=rpm)
                 model.network.set_heat(
                     "air",
                     viscous_power_w(
@@ -165,7 +168,7 @@ def exponent_sensitivity(
                         diameter_exponent=dia_exp,
                     ),
                 )
-                return model.network.steady_state()["air"]
+                return model.steady_air_c()
 
             low, high = 5000.0, 500000.0
             if air_at(low) > envelope_c:

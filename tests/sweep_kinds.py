@@ -1,14 +1,17 @@
-"""A test-side :class:`SweepKind` for driving ``run_kind`` with a plain worker.
+"""Test-side helpers for driving ``run_kind``.
 
 Production families (workload, roadmap, fleet) build their own records;
-the runner and backend suites only need a worker, so this wraps one with
-a content key over the task's value and an identity payload codec.
+the runner and backend suites only need a worker, so :func:`plain_kind`
+wraps one with a content key over the task's value and an identity
+payload codec.  :func:`process_pool` hands byte-identity gates a real
+pool however small their sweep.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
+from repro.simulation.backends import ProcessPoolBackend
 from repro.simulation.resilience import SweepKind
 from repro.store import config_key
 
@@ -35,3 +38,14 @@ def plain_kind(
         encode=_identity,
         decode=_identity,
     )
+
+
+def process_pool(kind: SweepKind, tasks: Sequence[Any]) -> ProcessPoolBackend:
+    """A ready two-worker pool running ``kind``'s worker over ``tasks``.
+
+    ``run_kind`` runs a ``process`` request whose tasks cost less than a
+    pool in-process; a ready instance passes through unchanged, so a
+    gate comparing pooled with serial bytes still crosses process
+    boundaries however small its sweep.
+    """
+    return ProcessPoolBackend(tasks, kind.worker, workers=2)

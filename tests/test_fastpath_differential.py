@@ -31,19 +31,19 @@ from repro.simulation.fastpath import (
     ENGINES,
     EngineRefused,
     decide_engine,
-    planned_engines,
     run_fast_task,
 )
+from repro.simulation.resilience import plan_dispatch
 from repro.simulation.sweep import (
     WorkloadTask,
     _run_workload_task,
     build_workload_tasks,
-    plan_sweep_workers,
     results_json_bytes,
     sweep_workloads,
     workload_task_key,
     workload_result_from_payload,
     workload_result_to_payload,
+    workload_sweep_kind,
 )
 from repro.workloads import catalog
 
@@ -248,16 +248,20 @@ def test_pure_analytic_sweep_spawns_no_pool(monkeypatch):
 
 
 def test_mixed_engine_sweep_still_allowed_to_pool():
+    """The dispatch rule keeps the workers of a sweep with exact replays
+    and runs an all-analytic one in-process.  Both are priced at the
+    CLI's default 4000 requests (pricing runs nothing): at 400 even the
+    exact replays cost less than a pool."""
+    kind = workload_sweep_kind()
     tasks = build_workload_tasks(
-        names=["oltp", "tpch"], rpms=RPMS, requests=REQUESTS, engine="auto"
+        names=["oltp", "tpch"], rpms=RPMS, requests=4000, engine="auto"
     )
-    planned = planned_engines(tasks)
-    assert planned is not None and set(planned) == {"analytic", "exact"}
-    assert plan_sweep_workers(tasks, 4) == 4
+    assert {decide_engine(task) for task in tasks} == {"analytic", "exact"}
+    assert plan_dispatch(kind, tasks, "process", 4, None)[0] == "process"
     analytic_only = build_workload_tasks(
-        names=["oltp"], rpms=RPMS, requests=REQUESTS, engine="analytic"
+        names=["oltp"], rpms=RPMS, requests=4000, engine="analytic"
     )
-    assert plan_sweep_workers(analytic_only, 4) == 0
+    assert plan_dispatch(kind, analytic_only, "process", 4, None)[0] == "serial"
 
 
 # ---------------------------------------------------------------------------

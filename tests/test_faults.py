@@ -223,7 +223,12 @@ class TestSystemIntegration:
 
 class TestSweepDeterminism:
     def test_fault_injected_sweep_serial_matches_parallel(self):
-        from repro.simulation.sweep import sweep_workloads
+        from repro.simulation.sweep import (
+            build_workload_tasks,
+            sweep_workloads,
+            workload_sweep_kind,
+        )
+        from tests.sweep_kinds import process_pool
 
         kwargs = dict(
             names=["tpcc"],
@@ -233,7 +238,8 @@ class TestSweepDeterminism:
             fault_config=FaultConfig(seed=4, media_rate=0.05, servo_rate=0.01),
         )
         serial = sweep_workloads(workers=1, **kwargs)
-        parallel = sweep_workloads(workers=2, **kwargs)
+        pool = process_pool(workload_sweep_kind(), build_workload_tasks(**kwargs))
+        parallel = sweep_workloads(backend=pool, **kwargs)
         assert serial == parallel
         assert all(r.fault_summary is not None for r in serial)
 

@@ -16,10 +16,15 @@ from repro.dtm import (
     slack_by_platter_size,
     throttling_trace,
 )
-from repro.simulation.sweep import sweep_workloads
+from repro.simulation.sweep import (
+    build_workload_tasks,
+    sweep_workloads,
+    workload_sweep_kind,
+)
 from repro.telemetry import Telemetry
 from repro.thermal.model import DriveThermalModel
 from repro.workloads import workload
+from tests.sweep_kinds import process_pool
 
 
 def _replay(spec_name, requests, seed, telemetry=None, rpm=None):
@@ -228,16 +233,18 @@ class TestDTMIntegration:
 
 class TestSweepIntegration:
     def test_sweep_ships_telemetry_snapshots(self):
-        results = sweep_workloads(
+        kwargs = dict(
             names=["tpcc"],
             rpm_steps=2,
             requests=300,
             seed=1,
-            workers=2,  # must survive pickling across processes
             telemetry=True,
             probe_interval_ms=50.0,
             trace_capacity=512,
         )
+        # A ready pool: snapshots must survive pickling across processes.
+        pool = process_pool(workload_sweep_kind(), build_workload_tasks(**kwargs))
+        results = sweep_workloads(backend=pool, **kwargs)
         assert len(results) == 2
         for result in results:
             snap = result.telemetry
